@@ -62,7 +62,7 @@ goldenPath(const std::string& name)
  */
 void
 runCase(const std::string& name, workloads::Workload (*factory)(),
-        bool withTelemetry = false)
+        bool withTelemetry = false, rii::Mode mode = rii::Mode::Default)
 {
     const size_t restore = globalThreadCount();
     const AnalyzedWorkload analyzed = analyzeWorkload(factory());
@@ -72,7 +72,7 @@ runCase(const std::string& name, workloads::Workload (*factory)(),
         setGlobalThreads(threads);
         telemetry::setEnabled(withTelemetry);
         rii::RiiResult result =
-            identifyInstructions(analyzed, rii::Mode::Default);
+            identifyInstructions(analyzed, mode);
         telemetry::setEnabled(false);
         const std::string json =
             stripWallClock(resultToJson(analyzed, result));
@@ -120,6 +120,42 @@ TEST(GoldenIdentityTest, Stencil)
 }
 TEST(GoldenIdentityTest, QProd) { runCase("qprod", workloads::makeQProd); }
 TEST(GoldenIdentityTest, Sha) { runCase("sha", workloads::makeSha); }
+
+// Non-default modes take AU paths the Default goldens never reach: the
+// kd-tree sampler (KDSample), the depth-14 sweep (Vector) and the AST-size
+// selection objective (AstSize).  Golden files are named <workload>.<mode>.
+void
+runModeCase(const std::string& name, workloads::Workload (*factory)(),
+            rii::Mode mode)
+{
+    runCase(name + "." + rii::modeName(mode), factory,
+            /*withTelemetry=*/false, mode);
+}
+
+TEST(GoldenIdentityTest, MatmulKDSample)
+{
+    runModeCase("matmul", workloads::makeMatMul, rii::Mode::KDSample);
+}
+TEST(GoldenIdentityTest, MatmulVector)
+{
+    runModeCase("matmul", workloads::makeMatMul, rii::Mode::Vector);
+}
+TEST(GoldenIdentityTest, MatmulAstSize)
+{
+    runModeCase("matmul", workloads::makeMatMul, rii::Mode::AstSize);
+}
+TEST(GoldenIdentityTest, ShaKDSample)
+{
+    runModeCase("sha", workloads::makeSha, rii::Mode::KDSample);
+}
+TEST(GoldenIdentityTest, ShaVector)
+{
+    runModeCase("sha", workloads::makeSha, rii::Mode::Vector);
+}
+TEST(GoldenIdentityTest, ShaAstSize)
+{
+    runModeCase("sha", workloads::makeSha, rii::Mode::AstSize);
+}
 
 // Telemetry-enabled variants: same goldens, probes on.  Two workloads
 // cover both pipeline shapes (matmul saturates, fft iterates) without
