@@ -1,8 +1,10 @@
 #include "hls/estimator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <unordered_map>
+#include <cstdint>
+#include <vector>
 
 #include "support/check.hpp"
 
@@ -161,6 +163,99 @@ opAreaUm2(Op op)
 
 namespace {
 
+/**
+ * Arrival-time memo of one scheduling walk, keyed on node identity:
+ * open addressing over a power-of-two slot array with linear probing,
+ * doubling at half load.  The first kInlineSlots slots live inside the
+ * table, so a typical candidate pattern schedules without touching the
+ * heap.  Entries are never erased; a walk owns its table.
+ */
+class ArrivalTable {
+ public:
+    ArrivalTable() = default;
+    // slots_ may point into inline_, so a copy would alias the original.
+    ArrivalTable(const ArrivalTable&) = delete;
+    ArrivalTable& operator=(const ArrivalTable&) = delete;
+
+    /** The arrival recorded for @p key, if any, in @p arrival. */
+    bool
+    find(const Term* key, double& arrival) const
+    {
+        for (size_t i = hashSlot(key, shift_);; i = (i + 1) & mask_) {
+            if (slots_[i].key == key) {
+                arrival = slots_[i].arrival;
+                return true;
+            }
+            if (slots_[i].key == nullptr) {
+                return false;
+            }
+        }
+    }
+
+    /** Record @p arrival for @p key, which must not be present yet. */
+    void
+    insert(const Term* key, double arrival)
+    {
+        if (2 * (size_ + 1) > mask_ + 1) {
+            grow();
+        }
+        place(slots_, mask_, shift_, key, arrival);
+        ++size_;
+    }
+
+ private:
+    struct Slot {
+        const Term* key = nullptr;
+        double arrival = 0.0;
+    };
+    static constexpr size_t kInlineSlots = 64;
+    static constexpr unsigned kInlineShift = 64 - 6;  // log2(kInlineSlots)
+
+    /** Fibonacci hashing: the top bits of the key times 2^64/phi. */
+    static size_t
+    hashSlot(const Term* key, unsigned shift)
+    {
+        return static_cast<size_t>(
+            (reinterpret_cast<uintptr_t>(key) * 0x9E3779B97F4A7C15ull) >>
+            shift);
+    }
+
+    static void
+    place(Slot* slots, size_t mask, unsigned shift, const Term* key,
+          double arrival)
+    {
+        size_t i = hashSlot(key, shift);
+        while (slots[i].key != nullptr) {
+            i = (i + 1) & mask;
+        }
+        slots[i] = Slot{key, arrival};
+    }
+
+    void
+    grow()
+    {
+        const size_t capacity = 2 * (mask_ + 1);
+        std::vector<Slot> bigger(capacity);
+        for (size_t i = 0; i <= mask_; ++i) {
+            if (slots_[i].key != nullptr) {
+                place(bigger.data(), capacity - 1, shift_ - 1,
+                      slots_[i].key, slots_[i].arrival);
+            }
+        }
+        heap_ = std::move(bigger);
+        slots_ = heap_.data();
+        mask_ = capacity - 1;
+        --shift_;
+    }
+
+    std::array<Slot, kInlineSlots> inline_{};
+    std::vector<Slot> heap_;
+    Slot* slots_ = inline_.data();
+    size_t mask_ = kInlineSlots - 1;
+    unsigned shift_ = kInlineShift;
+    size_t size_ = 0;
+};
+
 /** Bottom-up scheduling walk producing arrival time and area. */
 class Scheduler {
  public:
@@ -175,12 +270,13 @@ class Scheduler {
     double
     visit(const TermPtr& term)
     {
-        auto memoized = arrival_.find(term.get());
-        if (memoized != arrival_.end()) {
-            return memoized->second;
+        double arrival = 0.0;
+        if (arrival_.find(term.get(), arrival)) {
+            return arrival;
         }
-        double arrival = compute(term);
-        arrival_.emplace(term.get(), arrival);
+        // compute() may grow the table; insert only afterwards.
+        arrival = compute(term);
+        arrival_.insert(term.get(), arrival);
         return arrival;
     }
 
@@ -298,7 +394,7 @@ class Scheduler {
     double area_ = 0.0;
     int memOps_ = 0;
     int lastII_ = 1;
-    std::unordered_map<const Term*, double> arrival_;
+    ArrivalTable arrival_;
 };
 
 }  // namespace

@@ -213,6 +213,11 @@ struct ChunkOutcome {
     // a full chunk because the memo resets at every chunk boundary).
     size_t memoHits = 0;
     size_t memoMisses = 0;
+    // HLS feature work over this chunk (telemetry, same determinism):
+    // patternFeature evaluations and feature-memo hits.  Zero for a
+    // replayed chunk, which evaluates nothing.
+    size_t featureEvals = 0;
+    size_t featureHits = 0;
     /** Trace signature (0 unless the chunk cache was consulted). */
     uint64_t signature = 0;
     /** Whether the records came from the chunk cache, not a cold run. */
@@ -493,6 +498,8 @@ class AuShard {
         out.aborted = out.aborted || aborted_;
         out.memoHits = memoHits_;
         out.memoMisses = memoMisses_;
+        out.featureEvals = featureEvals_;
+        out.featureHits = featureHits_;
         return out;
     }
 
@@ -610,12 +617,22 @@ class AuShard {
             }
             // Cheapest (most general) child patterns first, so the capped
             // product enumeration visits concise generalizations before
-            // the deep specialized ones.
-            std::sort(childSets[i].begin(), childSets[i].end(),
-                      [](const TermPtr& x, const TermPtr& y) {
-                          return hls::patternFeature(x) <
-                                 hls::patternFeature(y);
+            // the deep specialized ones.  Decorate-sort-undecorate with
+            // std::sort: the comparator sees the same feature values in
+            // the same positions as a comparator calling patternFeature,
+            // so the permutation (ties included) is unchanged.
+            decorated_.clear();
+            for (TermPtr& term : childSets[i]) {
+                const double f = feature(term);
+                decorated_.emplace_back(f, std::move(term));
+            }
+            std::sort(decorated_.begin(), decorated_.end(),
+                      [](const auto& x, const auto& y) {
+                          return x.first < y.first;
                       });
+            for (size_t k = 0; k < decorated_.size(); ++k) {
+                childSets[i][k] = std::move(decorated_[k].second);
+            }
         }
 
         // Enumerate the product with a per-node cap (sampling later
@@ -682,12 +699,20 @@ class AuShard {
             patterns.size() <= options_.maxPatternsPerPair) {
             return patterns;
         }
+        // Candidates are scored without entering the feature memo; only
+        // the survivors do (keep() below), since the memo keeps its terms
+        // alive and most candidates are discarded here.
         std::vector<double> features(patterns.size());
         for (size_t i = 0; i < patterns.size(); ++i) {
-            features[i] = hls::patternFeature(patterns[i]);
+            features[i] = feature(patterns[i], /*remember=*/false);
         }
 
         std::vector<TermPtr> kept;
+        auto keep = [&](size_t i) {
+            features_.try_emplace(patterns[i].get(),
+                                  FeatureEntry{patterns[i], features[i]});
+            kept.push_back(patterns[i]);
+        };
         if (options_.sampling == Sampling::Boundary) {
             // Keep extreme patterns by feature until the cap: repeatedly
             // take the current min and max.
@@ -701,9 +726,9 @@ class AuShard {
             size_t lo = 0;
             size_t hi = order.size();
             while (kept.size() < options_.maxPatternsPerPair && lo < hi) {
-                kept.push_back(patterns[order[lo++]]);
+                keep(order[lo++]);
                 if (kept.size() < options_.maxPatternsPerPair && lo < hi) {
-                    kept.push_back(patterns[order[--hi]]);
+                    keep(order[--hi]);
                 }
             }
             return kept;
@@ -721,7 +746,7 @@ class AuShard {
             Entry e;
             e.idx = i;
             for (const TermPtr& child : patterns[i]->children) {
-                e.coords.push_back(hls::patternFeature(child));
+                e.coords.push_back(feature(child));
             }
             e.coords.resize(static_cast<size_t>(options_.kdDims), 0.0);
             entries.push_back(std::move(e));
@@ -759,10 +784,38 @@ class AuShard {
                                   ? 0
                                   : k * (cell.size() - 1) /
                                         std::max<size_t>(1, beta - 1);
-                kept.push_back(patterns[cell[pick].idx]);
+                keep(cell[pick].idx);
             }
         }
         return kept;
+    }
+
+    /** A memoized feature beside the term it was computed for. */
+    struct FeatureEntry {
+        TermPtr term;  ///< pins the key: its address cannot be recycled
+        double feature;
+    };
+
+    /**
+     * The HLS feature of @p term through the feature memo.  A fresh
+     * evaluation is memoized when @p remember is set, which callers do
+     * for terms the shard holds anyway (child-set elements, candidates'
+     * children).
+     */
+    double
+    feature(const TermPtr& term, bool remember = true)
+    {
+        const auto known = features_.find(term.get());
+        if (known != features_.end()) {
+            ++featureHits_;
+            return known->second.feature;
+        }
+        ++featureEvals_;
+        const double f = hls::patternFeature(term);
+        if (remember) {
+            features_.emplace(term.get(), FeatureEntry{term, f});
+        }
+        return f;
     }
 
     const EGraph& egraph_;
@@ -780,6 +833,17 @@ class AuShard {
     size_t rawCount_ = 0;
     size_t memoHits_ = 0;
     size_t memoMisses_ = 0;
+    /**
+     * patternFeature results keyed on node identity.  The feature model
+     * charges area per distinct pointer, so identity -- not structure --
+     * is the exact key; the stored TermPtr keeps each key alive for the
+     * memo's lifetime.  Per shard like memo_, so the thread count cannot
+     * influence what it holds.
+     */
+    std::unordered_map<const Term*, FeatureEntry> features_;
+    std::vector<std::pair<double, TermPtr>> decorated_;  ///< sort scratch
+    size_t featureEvals_ = 0;
+    size_t featureHits_ = 0;
     bool aborted_ = false;
 };
 
@@ -976,6 +1040,8 @@ identifyPatterns(const EGraph& egraph, const AuOptions& options,
                 << ", \"raw_candidates\": " << raw
                 << ", \"memo_hits\": " << chunk.memoHits
                 << ", \"memo_misses\": " << chunk.memoMisses
+                << ", \"feature_evals\": " << chunk.featureEvals
+                << ", \"feature_hits\": " << chunk.featureHits
                 << ", \"skipped\": " << skipped
                 << ", \"stopped\": " << (chunk.stopped ? "true" : "false")
                 << ", \"aborted\": " << (chunk.aborted ? "true" : "false")
@@ -986,6 +1052,8 @@ identifyPatterns(const EGraph& egraph, const AuOptions& options,
             registry.counter("au.raw_candidates").add(raw);
             registry.counter("au.memo_hits").add(chunk.memoHits);
             registry.counter("au.memo_misses").add(chunk.memoMisses);
+            registry.counter("au.feature_evals").add(chunk.featureEvals);
+            registry.counter("au.feature_hits").add(chunk.featureHits);
         }
     }
 

@@ -1,6 +1,10 @@
 #include "hls/estimator.hpp"
 
+#include <cmath>
+
 #include <gtest/gtest.h>
+
+#include "dsl/intern.hpp"
 
 namespace isamore {
 namespace hls {
@@ -105,6 +109,99 @@ TEST(HlsTest, LeavesAreFree)
 {
     EXPECT_EQ(estimatePattern(parseTerm("?0")).areaUm2, 0.0);
     EXPECT_EQ(estimatePattern(parseTerm("5")).areaUm2, 0.0);
+}
+
+/**
+ * Two chains joined by one adder: c_i = (+ c_{i-1} s_i) and
+ * d_i = (| d_{i-1} s'_i), with s_i = (^ ?i ?i+1).
+ * With @p shareXors the d chain reads the very s_i nodes the c chain
+ * reads; otherwise it gets its own structurally equal copies.  Every
+ * node is uninterned, so sharing is exactly what this builder chooses.
+ * 3 * length + 1 operator nodes -- far beyond the scheduler table's
+ * inline slots, so the table has to grow mid-walk.
+ */
+TermPtr
+twoChains(int length, bool shareXors)
+{
+    auto node = [](Op op, std::vector<TermPtr> children) {
+        return makeTermUninterned(op, Payload{}, std::move(children));
+    };
+    TermPtr c = hole(0);
+    TermPtr d = hole(0);
+    for (int i = 1; i <= length; ++i) {
+        TermPtr s = node(Op::Xor, {hole(i), hole(i + 1)});
+        c = node(Op::Add, {c, s});
+        d = node(Op::Or,
+                 {d, shareXors ? s : node(Op::Xor, {hole(i), hole(i + 1)})});
+    }
+    return node(Op::Add, {c, d});
+}
+
+TEST(HlsTest, LargeSharedDagChargesAreaOncePerNode)
+{
+    const int n = 100;
+    // Area: n xors + n adders + n ors + the joining adder.
+    const double sharedArea = n * opAreaUm2(Op::Xor) +
+                              n * opAreaUm2(Op::Add) +
+                              n * opAreaUm2(Op::Or) + opAreaUm2(Op::Add);
+    // Arrival: each xor lands at 80 ps, so the adder chain reaches
+    // 80 + 280n, the or chain 80 + 80n, and the join adds one adder.
+    const double critical = opDelayPs(Op::Xor) + n * opDelayPs(Op::Add) +
+                            opDelayPs(Op::Add);
+    const int cycles = static_cast<int>(std::ceil(critical / kClockPeriodPs));
+
+    const HwCost shared = estimatePattern(twoChains(n, true));
+    EXPECT_EQ(shared.areaUm2, sharedArea);
+    EXPECT_EQ(shared.cycles, cycles);
+    EXPECT_EQ(shared.latencyNs, cycles * 1.0);
+
+    // Structurally equal but unshared xors are distinct hardware.
+    const HwCost unshared = estimatePattern(twoChains(n, false));
+    EXPECT_EQ(unshared.areaUm2, sharedArea + n * opAreaUm2(Op::Xor));
+    EXPECT_EQ(unshared.cycles, cycles);
+
+    // One walk per call: repeating the estimate reproduces it exactly.
+    EXPECT_EQ(estimatePattern(twoChains(n, true)).areaUm2, sharedArea);
+}
+
+TEST(HlsTest, NestedAppSchedulesEachBodyInItsOwnTable)
+{
+    // Pattern 7's body is a large DAG that itself instantiates pattern 8
+    // (a multiplier), so resolving it nests a second sub-scheduler.
+    const int n = 40;
+    TermPtr inner = parseTerm("(* ?0 ?1)");
+    TermPtr body = makeTermUninterned(
+        Op::Add, Payload{},
+        {twoChains(n, true), app(8, {hole(0), hole(1)})});
+    PatternResolver resolver = [&](int64_t id) -> TermPtr {
+        return id == 7 ? body : id == 8 ? inner : nullptr;
+    };
+    const double bodyArea = n * opAreaUm2(Op::Xor) + n * opAreaUm2(Op::Add) +
+                            n * opAreaUm2(Op::Or) + 2 * opAreaUm2(Op::Add) +
+                            opAreaUm2(Op::Mul);
+    // The chains (80 + 280(n + 1) ps) outlast the multiplier (850 ps).
+    const double bodyArrival = opDelayPs(Op::Xor) +
+                               (n + 1) * opDelayPs(Op::Add) +
+                               opDelayPs(Op::Add);
+
+    auto instance = [] {
+        return makeTermUninterned(Op::App, Payload{},
+                                  {patRef(7), hole(0), hole(1)});
+    };
+    TermPtr once = instance();
+    // The same App node read twice is one module instance...
+    const HwCost shared = estimatePattern(
+        makeTermUninterned(Op::Add, Payload{}, {once, once}), resolver);
+    EXPECT_EQ(shared.areaUm2, bodyArea + opAreaUm2(Op::Add));
+    EXPECT_EQ(shared.cycles,
+              static_cast<int>(std::ceil(
+                  (bodyArrival + opDelayPs(Op::Add)) / kClockPeriodPs)));
+    // ...two App nodes are two, each scheduled in a fresh table.
+    const HwCost twice = estimatePattern(
+        makeTermUninterned(Op::Add, Payload{}, {once, instance()}),
+        resolver);
+    EXPECT_EQ(twice.areaUm2, 2 * bodyArea + opAreaUm2(Op::Add));
+    EXPECT_EQ(twice.cycles, shared.cycles);
 }
 
 }  // namespace

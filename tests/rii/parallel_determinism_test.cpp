@@ -13,6 +13,7 @@
 #include "egraph/rewrite.hpp"
 #include "rii/au.hpp"
 #include "support/pool.hpp"
+#include "support/telemetry.hpp"
 
 namespace isamore {
 namespace rii {
@@ -126,6 +127,49 @@ TEST(ParallelDeterminismTest, GlobalPoolThreadsMatchDedicatedPool)
     setGlobalThreads(0);
     EXPECT_EQ(patternStrings(result), patternStrings(base));
     expectSameStats(result.stats, base.stats);
+}
+
+/**
+ * The AU work counters -- per-shard feature evaluations and feature-memo
+ * hits beside the pair-memo counts, in the counters and in every
+ * au.shards record -- are a side channel that must not move with the
+ * thread count either: each shard's memos are private and the chunk
+ * partition is fixed.
+ */
+TEST(ParallelDeterminismTest, AuWorkCountersIdenticalAcrossThreadCounts)
+{
+    if (!telemetry::kCompiled) {
+        GTEST_SKIP() << "telemetry compiled out";
+    }
+    const EGraph g = buildSweepGraph();
+    auto& registry = telemetry::Registry::instance();
+    for (Sampling sampling : {Sampling::Boundary, Sampling::KdTree}) {
+        std::string base;
+        for (size_t threads : {1u, 2u, 4u}) {
+            AuOptions opt;
+            opt.sampling = sampling;
+            opt.threads = threads;
+            registry.reset();
+            telemetry::setEnabled(true);
+            identifyPatterns(g, opt);
+            telemetry::setEnabled(false);
+            EXPECT_GT(registry.counter("au.feature_evals").value(), 0u);
+            EXPECT_GT(registry.counter("au.feature_hits").value(), 0u);
+            const std::string metrics = registry.toJson();
+            // The per-shard records carry them too.
+            EXPECT_NE(metrics.find(", \"feature_evals\": "),
+                      std::string::npos);
+            if (threads == 1) {
+                base = metrics;
+            } else {
+                EXPECT_EQ(metrics, base)
+                    << "sampling=" << static_cast<int>(sampling)
+                    << " threads=" << threads;
+            }
+        }
+    }
+    registry.reset();
+    telemetry::Tracer::instance().clear();
 }
 
 TEST(ParallelDeterminismTest, EqSatMatchPhaseIdenticalAcrossThreads)

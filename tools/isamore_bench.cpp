@@ -81,11 +81,14 @@
  *               (the CI gate holds the per-request layer below 2%)
  *
  * The report records median and p90 wall-clock milliseconds per stage,
- * the thread count, and candidate counts.  `--baseline <path>` loads a
- * previously written report (e.g. the committed BENCH_seed.json) and
- * prints per-stage median deltas against it, so a perf regression shows
- * up as a signed percentage instead of requiring two terminals and a
- * diff.  `--check-identical` re-runs
+ * the thread count, candidate counts, and a `host` block (CPU model from
+ * /proc/cpuinfo, hardware_concurrency, build type).  `--baseline <path>`
+ * loads a previously written report (e.g. the committed BENCH_seed.json)
+ * and prints per-stage median deltas against it, so a perf regression
+ * shows up as a signed percentage instead of requiring two terminals and
+ * a diff.  Deltas are only meaningful between runs on the same machine
+ * and build, so a baseline whose host block differs from the current
+ * one -- or that has none -- draws a warning.  `--check-identical` re-runs
  * the pipeline single-threaded and fails (exit 1) unless the JSON report
  * -- pattern set, selection front, statistics -- is byte-identical to
  * the multi-threaded run, which is the determinism contract of the
@@ -251,6 +254,37 @@ splitCsv(const std::string& text)
     return out;
 }
 
+/** The machine and build a report was measured on. */
+struct HostInfo {
+    std::string cpu;          ///< /proc/cpuinfo "model name"
+    unsigned concurrency = 0; ///< std::thread::hardware_concurrency()
+    std::string buildType;    ///< CMake configuration of this harness
+
+    bool operator==(const HostInfo&) const = default;
+};
+
+HostInfo
+currentHost()
+{
+    HostInfo host;
+    host.cpu = "unknown";
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(cpuinfo, line)) {
+        const size_t colon = line.find(':');
+        if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
+            const size_t start = line.find_first_not_of(" \t", colon + 1);
+            if (start != std::string::npos) {
+                host.cpu = line.substr(start);
+            }
+            break;
+        }
+    }
+    host.concurrency = std::thread::hardware_concurrency();
+    host.buildType = ISAMORE_BUILD_TYPE;
+    return host;
+}
+
 void
 writeSamples(std::ostream& os, const StageTiming& stage)
 {
@@ -266,7 +300,13 @@ void
 writeReport(std::ostream& os, const std::vector<WorkloadReport>& reports,
             size_t threads, size_t reps)
 {
-    os << "{\n  \"threads\": " << threads << ",\n  \"reps\": " << reps
+    const HostInfo host = currentHost();
+    os << "{\n  \"host\": {\"cpu\": \""
+       << server::jsonEscapeString(host.cpu)
+       << "\", \"hardware_concurrency\": " << host.concurrency
+       << ", \"build_type\": \""
+       << server::jsonEscapeString(host.buildType) << "\"},\n"
+       << "  \"threads\": " << threads << ",\n  \"reps\": " << reps
        << ",\n  \"workloads\": [\n";
     for (size_t w = 0; w < reports.size(); ++w) {
         const WorkloadReport& r = reports[w];
@@ -483,11 +523,34 @@ serveRequest(const std::string& workload, bool useCache)
 
 /**
  * Per-stage medians of one previously written report, keyed by workload
- * name -- the shape `--baseline` compares against.  Only the medians are
+ * name -- the shape `--baseline` compares against -- plus the host it
+ * was measured on, when the report records one.  Only the medians are
  * kept; sample arrays and derived ratios are recomputed facts.
  */
-using BaselineMedians =
-    std::map<std::string, std::map<std::string, double>>;
+struct Baseline {
+    std::map<std::string, std::map<std::string, double>> medians;
+    std::optional<HostInfo> host;
+};
+
+/** The host block of a report, if it has a complete one. */
+std::optional<HostInfo>
+parseHost(const server::JsonValue& root)
+{
+    const server::JsonValue* block = root.find("host");
+    if (block == nullptr) {
+        return std::nullopt;
+    }
+    const server::JsonValue* cpu = block->find("cpu");
+    const server::JsonValue* concurrency =
+        block->find("hardware_concurrency");
+    const server::JsonValue* buildType = block->find("build_type");
+    if (cpu == nullptr || concurrency == nullptr || buildType == nullptr) {
+        return std::nullopt;
+    }
+    return HostInfo{cpu->text,
+                    static_cast<unsigned>(concurrency->number),
+                    buildType->text};
+}
 
 /**
  * Load the stage medians out of a report written by writeReport().
@@ -495,8 +558,7 @@ using BaselineMedians =
  *         not a bench report.
  */
 bool
-loadBaseline(const std::string& path, BaselineMedians& out,
-             std::string& error)
+loadBaseline(const std::string& path, Baseline& out, std::string& error)
 {
     std::ifstream in(path);
     if (!in.good()) {
@@ -529,15 +591,44 @@ loadBaseline(const std::string& path, BaselineMedians& out,
             const server::JsonValue* median = timing.find("median_ms");
             if (median != nullptr &&
                 median->type == server::JsonValue::Type::Number) {
-                out[name->text][stage] = median->number;
+                out.medians[name->text][stage] = median->number;
             }
         }
     }
-    if (out.empty()) {
+    out.host = parseHost(root);
+    if (out.medians.empty()) {
         error = path + " carries no stage medians";
         return false;
     }
     return true;
+}
+
+/**
+ * Warn when @p baseline was not measured on this machine and build:
+ * cross-host deltas mix hardware differences into what looks like a
+ * code change.
+ */
+void
+warnOnHostMismatch(const Baseline& baseline, const std::string& path)
+{
+    if (!baseline.host.has_value()) {
+        std::cerr << "warning: baseline " << path
+                  << " has no host block; its deltas may compare "
+                     "different machines\n";
+        return;
+    }
+    const HostInfo now = currentHost();
+    const HostInfo& then = *baseline.host;
+    if (then == now) {
+        return;
+    }
+    std::cerr << "warning: baseline " << path
+              << " was measured on a different host; its deltas mix "
+                 "hardware with code changes\n"
+              << "  baseline: " << then.cpu << ", " << then.concurrency
+              << " threads, " << then.buildType << "\n"
+              << "  current:  " << now.cpu << ", " << now.concurrency
+              << " threads, " << now.buildType << "\n";
 }
 
 /**
@@ -547,14 +638,15 @@ loadBaseline(const std::string& path, BaselineMedians& out,
  */
 void
 printBaselineDeltas(const std::vector<WorkloadReport>& reports,
-                    const BaselineMedians& baseline,
+                    const Baseline& baseline,
                     const std::string& baselinePath)
 {
+    warnOnHostMismatch(baseline, baselinePath);
     std::cerr << "deltas vs " << baselinePath
               << " (negative = faster now):\n";
     for (const WorkloadReport& r : reports) {
-        const auto found = baseline.find(r.name);
-        if (found == baseline.end()) {
+        const auto found = baseline.medians.find(r.name);
+        if (found == baseline.medians.end()) {
             std::cerr << "  " << r.name << ": not in baseline\n";
             continue;
         }
@@ -748,7 +840,7 @@ main(int argc, char** argv)
     }
 
     // Fail fast on an unreadable baseline -- before minutes of timing.
-    BaselineMedians baseline;
+    Baseline baseline;
     if (!baselinePath.empty()) {
         std::string error;
         if (!loadBaseline(baselinePath, baseline, error)) {
@@ -1258,7 +1350,7 @@ main(int argc, char** argv)
     writeReport(out, reports, threads, reps);
     std::cerr << "wrote " << outPath << "\n";
 
-    if (!baseline.empty()) {
+    if (!baseline.medians.empty()) {
         printBaselineDeltas(reports, baseline, baselinePath);
     }
 
