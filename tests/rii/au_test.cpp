@@ -1,5 +1,7 @@
 #include "rii/au.hpp"
 
+#include <sstream>
+
 #include <gtest/gtest.h>
 
 #include "egraph/rewrite.hpp"
@@ -197,6 +199,147 @@ TEST(AuTest, WellFormedAppsOnly)
             };
         check(p);
     }
+}
+
+/**
+ * A small saturated graph for the output pins below.  The first two
+ * roots feed one child pair into both operands of an add, so candidates
+ * over it reuse one child pattern in two positions (the feature model's
+ * shared-node case); the other two mix adds, multiplies, shifts and
+ * loads over literals, so the pairs' products are large enough to be
+ * sampled.
+ */
+EGraph
+buildPinGraph()
+{
+    EGraph g;
+    g.addTerm(parseTerm("(+ (* $0.0 $0.1) (* $0.0 $0.1))"));
+    g.addTerm(parseTerm("(+ (* $0.2 $0.3) (* $0.2 $0.3))"));
+    g.addTerm(parseTerm(
+        "(+ (* (+ $0.4 1) $0.5) (<< (load i32 $0.6 4) 2))"));
+    g.addTerm(parseTerm(
+        "(+ (* (+ $0.7 1) $0.8) (<< (load i32 $0.9 8) 2))"));
+    std::vector<RewriteRule> comm = {
+        makeRule("add-comm", "(+ ?0 ?1)", "(+ ?1 ?0)", kRuleSat),
+        makeRule("mul-comm", "(* ?0 ?1)", "(* ?1 ?0)", kRuleSat),
+    };
+    runEqSat(g, comm);
+    return g;
+}
+
+/** The stats line and every pattern, in result order. */
+std::string
+describe(const AuResult& result)
+{
+    std::ostringstream out;
+    out << "considered=" << result.stats.pairsConsidered
+        << " explored=" << result.stats.pairsExplored
+        << " raw=" << result.stats.rawCandidates
+        << " skipped=" << result.stats.skippedPairs
+        << " aborted=" << result.stats.aborted
+        << " timedOut=" << result.stats.timedOut << "\n";
+    for (const TermPtr& p : result.patterns) {
+        out << termToString(p) << "\n";
+    }
+    return out.str();
+}
+
+std::string
+pinnedRun(Sampling sampling, size_t maxCandidates, size_t threads)
+{
+    AuOptions opt;
+    opt.sampling = sampling;
+    opt.maxCandidates = maxCandidates;
+    opt.threads = threads;
+    return describe(identifyPatterns(buildPinGraph(), opt));
+}
+
+// The exact results of three sweeps over buildPinGraph().  Sampling
+// ranks each pair's candidates by their HLS feature, so the pins also
+// hold the feature's ordering of candidates that were discarded.
+
+const char* const kPinBoundary =
+    "considered=378 explored=59 raw=222 skipped=0 aborted=0 timedOut=0\n"
+    "(+ (* ?0 ?1) (* ?2 ?3))\n"
+    "(+ (* ?0 ?1) (* ?1 ?0))\n"
+    "(+ (* ?0 ?1) (* ?0 ?1))\n"
+    "(+ ?0 (* ?1 ?2))\n"
+    "(+ (* ?0 ?1) ?2)\n"
+    "(* ?0 (+ ?1 ?2))\n"
+    "(* ?0 (+ 1 ?1))\n"
+    "(<< (load i32 ?0 ?1) 2)\n"
+    "(<< (load i32 ?0 ?1) ?2)\n"
+    "(+ (* ?0 (+ ?1 ?2)) (<< (load i32 ?3 ?4) ?5))\n"
+    "(+ (* ?0 (+ 1 ?1)) (<< (load i32 ?2 ?3) ?4))\n";
+
+const char* const kPinKdTree =
+    "considered=378 explored=59 raw=222 skipped=0 aborted=0 timedOut=0\n"
+    "(+ ?0 (* ?1 ?2))\n"
+    "(+ (* ?0 ?1) (* ?0 ?1))\n"
+    "(+ (* ?0 ?1) (* ?1 ?0))\n"
+    "(+ (* ?0 ?1) ?2)\n"
+    "(+ (* ?0 ?1) (* ?2 ?3))\n"
+    "(* ?0 (+ 1 ?1))\n"
+    "(* ?0 (+ ?1 ?2))\n"
+    "(* ?0 (+ ?1 1))\n"
+    "(* (+ ?0 ?1) ?2)\n"
+    "(* (+ 1 ?0) ?1)\n"
+    "(* (+ ?0 1) ?1)\n"
+    "(<< (load i32 ?0 ?1) 2)\n"
+    "(<< (load i32 ?0 ?1) ?2)\n"
+    "(+ (* ?0 ?1) (<< (load i32 ?2 ?3) ?4))\n"
+    "(+ ?0 (* ?1 (+ 1 ?2)))\n"
+    "(+ (<< (load i32 ?0 ?1) 2) (* (+ ?2 1) ?3))\n"
+    "(+ (<< (load i32 ?0 ?1) 2) ?2)\n"
+    "(+ (* ?0 (+ 1 ?1)) (<< (load i32 ?2 ?3) 2))\n"
+    "(+ (* ?0 (+ ?1 ?2)) (<< (load i32 ?3 ?4) 2))\n"
+    "(+ (* (+ 1 ?0) ?1) (<< (load i32 ?2 ?3) ?4))\n";
+
+// Exhaustive with a candidate cap that trips mid-product.
+const char* const kPinExhaustiveAbort =
+    "considered=378 explored=54 raw=151 skipped=0 aborted=1 timedOut=0\n"
+    "(+ (* ?0 ?1) ?2)\n"
+    "(+ ?0 (* ?1 ?2))\n"
+    "(+ (* ?0 ?1) (* ?0 ?1))\n"
+    "(+ (* ?0 ?1) (* ?2 ?3))\n"
+    "(+ (* ?0 ?1) (* ?1 ?0))\n"
+    "(* (+ ?0 1) ?1)\n"
+    "(* (+ ?0 ?1) ?2)\n"
+    "(* (+ 1 ?0) ?1)\n"
+    "(* ?0 (+ ?1 1))\n"
+    "(* ?0 (+ ?1 ?2))\n"
+    "(* ?0 (+ 1 ?1))\n"
+    "(<< (load i32 ?0 ?1) 2)\n"
+    "(<< (load i32 ?0 ?1) ?2)\n"
+    "(+ (* (+ ?0 ?1) ?2) ?3)\n"
+    "(+ (* (+ 1 ?0) ?1) ?2)\n"
+    "(+ (* (+ ?0 1) ?1) ?2)\n"
+    "(+ (* ?0 (+ ?1 1)) ?2)\n"
+    "(+ (* ?0 (+ ?1 ?2)) ?3)\n"
+    "(+ (* ?0 (+ 1 ?1)) ?2)\n"
+    "(+ ?0 (<< ?1 2))\n"
+    "(+ (* ?0 ?1) (<< ?2 2))\n";
+
+TEST(AuTest, BoundaryOutputPinned)
+{
+    for (size_t threads : {1u, 2u, 4u}) {
+        EXPECT_EQ(pinnedRun(Sampling::Boundary, 200000, threads),
+                  kPinBoundary)
+            << "threads=" << threads;
+    }
+}
+
+TEST(AuTest, KdTreeOutputPinned)
+{
+    for (size_t threads : {1u, 2u, 4u}) {
+        EXPECT_EQ(pinnedRun(Sampling::KdTree, 200000, threads), kPinKdTree)
+            << "threads=" << threads;
+    }
+}
+
+TEST(AuTest, ExhaustiveAbortOutputPinned)
+{
+    EXPECT_EQ(pinnedRun(Sampling::Exhaustive, 150, 1), kPinExhaustiveAbort);
 }
 
 }  // namespace
