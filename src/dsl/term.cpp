@@ -61,6 +61,21 @@ argT(int64_t depth, int64_t index, ScalarKind kind)
 TermPtr
 hole(int64_t holeId)
 {
+    // Holes are interned, so a table of the small ids built once hands
+    // out the very pointers makeTerm would, without taking the
+    // interner's shard lock on every call.  Leaked like the interner.
+    constexpr int64_t kTabled = 1024;
+    static const std::vector<TermPtr>* const tabled = [] {
+        auto* holes = new std::vector<TermPtr>();
+        holes->reserve(kTabled);
+        for (int64_t id = 0; id < kTabled; ++id) {
+            holes->push_back(makeTerm(Op::Hole, Payload::ofInt(id), {}));
+        }
+        return holes;
+    }();
+    if (holeId >= 0 && holeId < kTabled) {
+        return (*tabled)[static_cast<size_t>(holeId)];
+    }
     return makeTerm(Op::Hole, Payload::ofInt(holeId), {});
 }
 

@@ -256,6 +256,131 @@ class ArrivalTable {
     size_t size_ = 0;
 };
 
+/** Scheduling charge of one node. */
+struct NodeCost {
+    double arrival = 0.0;  ///< ps along the critical path
+    double areaUm2 = 0.0;  ///< the node's own area
+    int memOps = 0;        ///< 1 for a Load/Store
+    int ii = 0;            ///< initiation interval of a Loop, else 0
+};
+
+/** Vector width @p term offers a VecOp parent. */
+int
+vectorLanes(const Term& term)
+{
+    return term.op == Op::Vec ? static_cast<int>(term.children.size())
+                              : 0;
+}
+
+/**
+ * The per-node step of the ASAP schedule, the one place the cost model
+ * lives.  @p arrivalOf(i) yields child i's arrival and is called exactly
+ * for the children the node schedules, in order (the walk recurses
+ * through it, composition charges the child there); @p lanesOf(i) is
+ * child i's vectorLanes.  An App is wiring here: instantiating a
+ * resolved sub-instruction is the walk's business.
+ */
+template <typename ArrivalOf, typename LanesOf>
+NodeCost
+scheduleNode(Op op, const Payload& payload, size_t arity, int trips,
+             ArrivalOf&& arrivalOf, LanesOf&& lanesOf)
+{
+    NodeCost cost;
+    switch (op) {
+      case Op::Lit:
+      case Op::Arg:
+      case Op::Hole:
+      case Op::PatRef:
+        return cost;
+      case Op::Loop: {
+        const double inputs = arrivalOf(0);
+        // The body's own depth; its area accrues with the rest.
+        const double body = arrivalOf(1);
+        const int depth = std::max(
+            1, static_cast<int>(std::ceil(body / kClockPeriodPs)));
+        // Recurrence bound: the carried-dependence chain cannot be
+        // pipelined away.  Approximate it with the arrival time of the
+        // body output list's slowest element that transitively reads an
+        // Arg; using the full body depth is a safe upper bound, so take
+        // half as a typical forwarded recurrence.
+        cost.ii = std::max(1, depth / 2);
+        cost.arrival =
+            inputs + (depth + (trips - 1) * cost.ii) * kClockPeriodPs;
+        cost.areaUm2 = 40.0;  // loop control (counter, pipeline valid chain)
+        return cost;
+      }
+      case Op::If: {
+        const double inputs = arrivalOf(0);
+        const double thenArrival = arrivalOf(1);
+        const double elseArrival = arrivalOf(2);
+        cost.areaUm2 = 18.0;  // output muxing
+        cost.arrival =
+            std::max({inputs, thenArrival, elseArrival}) + 120.0;
+        return cost;
+      }
+      case Op::VecOp: {
+        // Lane-parallel: delay of one scalar unit, area per lane.
+        double worst = 0.0;
+        int lanes = 0;
+        for (size_t i = 0; i < arity; ++i) {
+            worst = std::max(worst, arrivalOf(i));
+            lanes = std::max(lanes, lanesOf(i));
+        }
+        const Op scalar = static_cast<Op>(payload.a);
+        lanes = std::max(lanes, 2);
+        cost.areaUm2 = opAreaUm2(scalar) * lanes;
+        cost.arrival = worst + opDelayPs(scalar);
+        return cost;
+      }
+      case Op::App: {
+        // Child 0 is the PatRef head, not an operand.
+        for (size_t i = 1; i < arity; ++i) {
+            cost.arrival = std::max(cost.arrival, arrivalOf(i));
+        }
+        return cost;
+      }
+      default: {
+        double worst = 0.0;
+        for (size_t i = 0; i < arity; ++i) {
+            worst = std::max(worst, arrivalOf(i));
+        }
+        if (op == Op::Load || op == Op::Store) {
+            cost.memOps = 1;
+        }
+        cost.areaUm2 = opAreaUm2(op);
+        cost.arrival = worst + opDelayPs(op);
+        return cost;
+      }
+    }
+}
+
+/** Whether a summary's set holds @p term (every non-leaf node). */
+bool
+isCharged(const Term& term)
+{
+    return !opHasFlag(term.op, kLeaf);
+}
+
+/**
+ * Schedule cycles of a unit with critical path @p arrival and @p memOps
+ * memory operations: memory operations serialize through two ports at
+ * 1.5 cycles each, and the unit is bound by the slower of the dataflow
+ * and memory streams.
+ */
+int
+scheduleCycles(double arrival, int memOps)
+{
+    const double memCycles = std::ceil(memOps / 2.0) * 1.5;
+    const double dataCycles = std::ceil(arrival / kClockPeriodPs);
+    return std::max(1, static_cast<int>(std::max(dataCycles, memCycles)));
+}
+
+double
+latencyNsOf(int cycles)
+{
+    return cycles * (kClockPeriodPs / 1000.0);
+}
+
 /** Bottom-up scheduling walk producing arrival time and area. */
 class Scheduler {
  public:
@@ -284,109 +409,56 @@ class Scheduler {
 
     int lastII() const { return lastII_; }
 
+    /** The charged nodes visited so far. */
+    const NodeSet& charged() const { return charged_; }
+
  private:
     double
     compute(const TermPtr& term)
     {
-        switch (term->op) {
-          case Op::Lit:
-          case Op::Arg:
-          case Op::Hole:
-          case Op::PatRef:
-            return 0.0;
-          case Op::Loop:
-            return computeLoop(term);
-          case Op::If:
-            return computeIf(term);
-          case Op::VecOp: {
-            // Lane-parallel: delay of one scalar unit, area per lane.
-            double worst = 0.0;
-            int lanes = 0;
-            for (const auto& child : term->children) {
-                worst = std::max(worst, visit(child));
-                if (child->op == Op::Vec) {
-                    lanes = std::max(
-                        lanes, static_cast<int>(child->children.size()));
-                }
-            }
-            const Op scalar = static_cast<Op>(term->payload.a);
-            lanes = std::max(lanes, 2);
-            area_ += opAreaUm2(scalar) * lanes;
-            return worst + opDelayPs(scalar);
-          }
-          case Op::App:
-            return computeApp(term);
-          default: {
-            double worst = 0.0;
-            for (const auto& child : term->children) {
-                worst = std::max(worst, visit(child));
-            }
-            if (term->op == Op::Load || term->op == Op::Store) {
-                ++memOps_;
-            }
-            area_ += opAreaUm2(term->op);
-            return worst + opDelayPs(term->op);
-          }
+        const auto& children = term->children;
+        const NodeCost cost = scheduleNode(
+            term->op, term->payload, children.size(), trips_,
+            [&](size_t i) { return visit(children[i]); },
+            [&](size_t i) { return vectorLanes(*children[i]); });
+        area_ += cost.areaUm2;
+        memOps_ += cost.memOps;
+        if (cost.ii > 0) {
+            lastII_ = cost.ii;
         }
-    }
-
-    double
-    computeLoop(const TermPtr& term)
-    {
-        const double inputs = visit(term->children[0]);
-        // Schedule the body in isolation to get its depth; area accrues
-        // into this scheduler.
-        const double body = visit(term->children[1]);
-        const int depth = std::max(
-            1, static_cast<int>(std::ceil(body / kClockPeriodPs)));
-        // Recurrence bound: the carried-dependence chain cannot be
-        // pipelined away.  Approximate it with the arrival time of the
-        // body output list's slowest element that transitively reads an
-        // Arg; using the full body depth is a safe upper bound, so take
-        // half as a typical forwarded recurrence.
-        const int ii = std::max(1, depth / 2);
-        lastII_ = ii;
-        const double total =
-            inputs + (depth + (trips_ - 1) * ii) * kClockPeriodPs;
-        area_ += 40.0;  // loop control (counter, pipeline valid chain)
-        return total;
-    }
-
-    double
-    computeIf(const TermPtr& term)
-    {
-        double inputs = visit(term->children[0]);
-        double then_arrival = visit(term->children[1]);
-        double else_arrival = visit(term->children[2]);
-        area_ += 18.0;  // output muxing
-        return std::max({inputs, then_arrival, else_arrival}) + 120.0;
-    }
-
-    double
-    computeApp(const TermPtr& term)
-    {
-        double worst = 0.0;
-        for (size_t i = 1; i < term->children.size(); ++i) {
-            worst = std::max(worst, visit(term->children[i]));
+        if (isCharged(*term)) {
+            charged_.insert(term->hash);
         }
-        // Ill-formed App heads (possible mid-anti-unification) and
-        // unknown sub-instructions degrade to wiring.
+        if (term->op == Op::App) {
+            return instantiate(term, cost.arrival);
+        }
+        return cost.arrival;
+    }
+
+    /**
+     * A resolved App instantiates its sub-instruction as a module and
+     * pays the module's own critical path and area on top of its
+     * operands' arrival @p operands.  Ill-formed heads (possible
+     * mid-anti-unification) and unknown sub-instructions stay wiring.
+     */
+    double
+    instantiate(const TermPtr& term, double operands)
+    {
         if (!resolver_ || term->children.empty() ||
             term->children[0]->op != Op::PatRef) {
-            return worst;
+            return operands;
         }
         TermPtr body = resolver_(term->children[0]->payload.a);
         if (body == nullptr) {
-            return worst;
+            return operands;
         }
-        // Sub-instruction instantiated as a module: pay its own critical
-        // path and area.  Cost callers pass a resolver over scheduling
-        // views (PatternRegistry::costResolver), which carry the
-        // per-occurrence topology this walk charges area against.
+        // Cost callers pass a resolver over scheduling views
+        // (PatternRegistry::costResolver), which carry the per-occurrence
+        // topology this walk charges area against.
         Scheduler sub(resolver_, trips_);
         double sub_arrival = sub.visit(body);
         area_ += sub.areaUm2();
-        return worst + sub_arrival;
+        return operands + sub_arrival;
     }
 
     const PatternResolver& resolver_;
@@ -394,6 +466,7 @@ class Scheduler {
     double area_ = 0.0;
     int memOps_ = 0;
     int lastII_ = 1;
+    NodeSet charged_;
     ArrivalTable arrival_;
 };
 
@@ -406,24 +479,77 @@ estimatePattern(const TermPtr& pattern, const PatternResolver& resolver,
     Scheduler scheduler(resolver, loopTripHint);
     const double critical = scheduler.visit(pattern);
     HwCost cost;
-    // Memory operations serialize through two ports at 1.5 cycles each;
-    // the unit is bound by the slower of dataflow and memory streams.
-    const double memCycles =
-        std::ceil(scheduler.memOps() / 2.0) * 1.5;
-    const double dataCycles = std::ceil(critical / kClockPeriodPs);
-    cost.cycles =
-        std::max(1, static_cast<int>(std::max(dataCycles, memCycles)));
-    cost.latencyNs = cost.cycles * (kClockPeriodPs / 1000.0);
+    cost.cycles = scheduleCycles(critical, scheduler.memOps());
+    cost.latencyNs = latencyNsOf(cost.cycles);
     cost.areaUm2 = scheduler.areaUm2();
     cost.initiationInterval = scheduler.lastII();
     return cost;
 }
 
+FeatureSummary
+summarize(const TermPtr& pattern)
+{
+    const PatternResolver none;
+    Scheduler scheduler(none, kDefaultTripHint);
+    FeatureSummary summary;
+    summary.arrival = scheduler.visit(pattern);
+    summary.areaUm2 = scheduler.areaUm2();
+    summary.memOps = scheduler.memOps();
+    summary.lanes = vectorLanes(*pattern);
+    summary.charged = scheduler.charged();
+    return summary;
+}
+
+std::optional<FeatureSummary>
+compose(Op op, const Payload& payload,
+        std::span<const FeatureSummary* const> children)
+{
+    FeatureSummary out;
+    bool shared = false;
+    // The step asks for exactly the children the node schedules; charge
+    // each one's DAG there, so the union covers what a walk would visit.
+    const NodeCost cost = scheduleNode(
+        op, payload, children.size(), kDefaultTripHint,
+        [&](size_t i) {
+            const FeatureSummary& child = *children[i];
+            shared = shared || out.charged.intersects(child.charged);
+            out.charged |= child.charged;
+            out.areaUm2 += child.areaUm2;
+            out.memOps += child.memOps;
+            return child.arrival;
+        },
+        [&](size_t i) { return children[i]->lanes; });
+    if (shared) {
+        return std::nullopt;
+    }
+    out.arrival = cost.arrival;
+    out.areaUm2 += cost.areaUm2;
+    out.memOps += cost.memOps;
+    out.lanes =
+        op == Op::Vec ? static_cast<int>(children.size()) : 0;
+    return out;
+}
+
+void
+includeRoot(FeatureSummary& summary, const Term& root)
+{
+    if (isCharged(root)) {
+        summary.charged.insert(root.hash);
+    }
+}
+
+double
+featureOf(const FeatureSummary& summary)
+{
+    const double latencyNs =
+        latencyNsOf(scheduleCycles(summary.arrival, summary.memOps));
+    return latencyNs * 1000.0 + summary.areaUm2 * 1e-3;
+}
+
 double
 patternFeature(const TermPtr& pattern)
 {
-    HwCost cost = estimatePattern(pattern);
-    return cost.latencyNs * 1000.0 + cost.areaUm2 * 1e-3;
+    return featureOf(summarize(pattern));
 }
 
 }  // namespace hls

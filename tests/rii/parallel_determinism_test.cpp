@@ -130,11 +130,12 @@ TEST(ParallelDeterminismTest, GlobalPoolThreadsMatchDedicatedPool)
 }
 
 /**
- * The AU work counters -- per-shard feature evaluations and feature-memo
- * hits beside the pair-memo counts, in the counters and in every
- * au.shards record -- are a side channel that must not move with the
- * thread count either: each shard's memos are private and the chunk
- * partition is fixed.
+ * The AU work counters -- per-shard feature walks, feature-memo hits and
+ * composed candidate features beside the pair-memo counts, in the
+ * counters and in every au.shards record -- are a side channel that must
+ * not move with the thread count either: each shard's memos are private,
+ * the chunk partition is fixed, and whether a candidate's feature is
+ * composed or walked depends on structural hashes, never on addresses.
  */
 TEST(ParallelDeterminismTest, AuWorkCountersIdenticalAcrossThreadCounts)
 {
@@ -155,9 +156,12 @@ TEST(ParallelDeterminismTest, AuWorkCountersIdenticalAcrossThreadCounts)
             telemetry::setEnabled(false);
             EXPECT_GT(registry.counter("au.feature_evals").value(), 0u);
             EXPECT_GT(registry.counter("au.feature_hits").value(), 0u);
+            EXPECT_GT(registry.counter("au.feature_composed").value(), 0u);
             const std::string metrics = registry.toJson();
             // The per-shard records carry them too.
             EXPECT_NE(metrics.find(", \"feature_evals\": "),
+                      std::string::npos);
+            EXPECT_NE(metrics.find(", \"feature_composed\": "),
                       std::string::npos);
             if (threads == 1) {
                 base = metrics;
