@@ -6,8 +6,6 @@
 
 #include "support/check.hpp"
 #include "support/hashing.hpp"
-#include "support/pool.hpp"
-#include "support/reclaim.hpp"
 #include "support/telemetry.hpp"
 
 namespace isamore {
@@ -38,235 +36,58 @@ ENode::str() const
     return os.str();
 }
 
-EGraph::EGraph()
-    : segments_(std::make_unique<std::atomic<Segment*>[]>(kMaxSegments)),
-      shards_(std::make_unique<Shard[]>(kShardCount)),
-      stripes_(std::make_unique<std::mutex[]>(kStripeCount))
-{}
-
-EGraph::~EGraph()
-{
-    releaseStorage();
-}
-
-void
-EGraph::releaseStorage()
-{
-    if (!segments_) {
-        return;
-    }
-    const uint32_t ids = idCount_.load(std::memory_order_relaxed);
-    const size_t used =
-        (static_cast<size_t>(ids) + kSegmentSize - 1) >> kSegmentBits;
-    for (size_t s = 0; s < used; ++s) {
-        Segment* segment = segments_[s].load(std::memory_order_relaxed);
-        if (segment == nullptr) {
-            continue;
-        }
-        const size_t base = s << kSegmentBits;
-        const size_t count = std::min(kSegmentSize, ids - base);
-        for (size_t i = 0; i < count; ++i) {
-            // Classes retired to the reclaim limbo were nulled out of
-            // their slot first, so this never double-frees.
-            delete segment->slots[i].cls.load(std::memory_order_relaxed);
-        }
-        delete segment;
-        segments_[s].store(nullptr, std::memory_order_relaxed);
-    }
-    idCount_.store(0, std::memory_order_relaxed);
-}
-
-void
-EGraph::copyFrom(const EGraph& other)
-{
-    const uint32_t ids = other.idCount_.load(std::memory_order_acquire);
-    idCount_.store(ids, std::memory_order_relaxed);
-    for (uint32_t id = 0; id < ids; ++id) {
-        ensureSlot(id);
-        Slot& dst = slotRef(id);
-        const Slot& src = other.slotRef(id);
-        dst.parent.store(src.parent.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-        for (size_t j = 0; j < kStampDepths; ++j) {
-            dst.stamps[j].store(
-                src.stamps[j].load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-        }
-        const EClass* cls = src.cls.load(std::memory_order_relaxed);
-        dst.cls.store(cls == nullptr ? nullptr : new EClass(*cls),
-                      std::memory_order_relaxed);
-    }
-    for (size_t s = 0; s < kShardCount; ++s) {
-        shards_[s].map = other.shards_[s].map;
-    }
-    classCount_.store(other.classCount_.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-    nodeCount_.store(other.nodeCount_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-    version_.store(other.version_.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-    clock_.store(other.clock_.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
-    worklist_ = other.worklist_;
-    dirtySeeds_ = other.dirtySeeds_;
-    lastRebuild_ = other.lastRebuild_;
-    classIdsCache_ = other.classIdsCache_;
-    opIndex_ = other.opIndex_;
-    opStampCache_ = other.opStampCache_;
-    cachesStale_.store(other.cachesStale_.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-}
-
 EGraph::EGraph(const EGraph& other)
-    : EGraph()
+    : memo_(other.memo_),
+      parent_(other.parent_),
+      stamps_(other.stamps_),
+      classCount_(other.classCount_),
+      nodeCount_(other.nodeCount_),
+      version_(other.version_),
+      clock_(other.clock_),
+      worklist_(other.worklist_),
+      dirtySeeds_(other.dirtySeeds_),
+      classIdsCache_(other.classIdsCache_),
+      opIndex_(other.opIndex_),
+      opStampCache_(other.opStampCache_),
+      cachesStale_(other.cachesStale_)
 {
-    copyFrom(other);
+    classes_.reserve(other.classes_.size());
+    for (const std::unique_ptr<EClass>& data : other.classes_) {
+        classes_.push_back(data ? std::make_unique<EClass>(*data) : nullptr);
+    }
 }
 
 EGraph&
 EGraph::operator=(const EGraph& other)
 {
-    if (this == &other) {
-        return *this;
+    if (this != &other) {
+        *this = EGraph(other);
     }
-    releaseStorage();
-    if (!segments_) {
-        segments_ = std::make_unique<std::atomic<Segment*>[]>(kMaxSegments);
-        shards_ = std::make_unique<Shard[]>(kShardCount);
-        stripes_ = std::make_unique<std::mutex[]>(kStripeCount);
-    }
-    for (size_t s = 0; s < kShardCount; ++s) {
-        shards_[s].map.clear();
-    }
-    copyFrom(other);
     return *this;
-}
-
-EGraph::EGraph(EGraph&& other) noexcept
-    : segments_(std::move(other.segments_)),
-      shards_(std::move(other.shards_)),
-      stripes_(std::move(other.stripes_)),
-      idCount_(other.idCount_.load(std::memory_order_relaxed)),
-      classCount_(other.classCount_.load(std::memory_order_relaxed)),
-      nodeCount_(other.nodeCount_.load(std::memory_order_relaxed)),
-      version_(other.version_.load(std::memory_order_relaxed)),
-      clock_(other.clock_.load(std::memory_order_relaxed)),
-      worklist_(std::move(other.worklist_)),
-      dirtySeeds_(std::move(other.dirtySeeds_)),
-      lastRebuild_(other.lastRebuild_),
-      classIdsCache_(std::move(other.classIdsCache_)),
-      opIndex_(std::move(other.opIndex_)),
-      opStampCache_(std::move(other.opStampCache_)),
-      cachesStale_(other.cachesStale_.load(std::memory_order_relaxed))
-{
-    other.idCount_.store(0, std::memory_order_relaxed);
-}
-
-EGraph&
-EGraph::operator=(EGraph&& other) noexcept
-{
-    if (this == &other) {
-        return *this;
-    }
-    releaseStorage();
-    segments_ = std::move(other.segments_);
-    shards_ = std::move(other.shards_);
-    stripes_ = std::move(other.stripes_);
-    idCount_.store(other.idCount_.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-    classCount_.store(other.classCount_.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-    nodeCount_.store(other.nodeCount_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-    version_.store(other.version_.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-    clock_.store(other.clock_.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
-    worklist_ = std::move(other.worklist_);
-    dirtySeeds_ = std::move(other.dirtySeeds_);
-    lastRebuild_ = other.lastRebuild_;
-    classIdsCache_ = std::move(other.classIdsCache_);
-    opIndex_ = std::move(other.opIndex_);
-    opStampCache_ = std::move(other.opStampCache_);
-    cachesStale_.store(other.cachesStale_.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-    other.idCount_.store(0, std::memory_order_relaxed);
-    return *this;
-}
-
-EGraph::Slot&
-EGraph::slotRef(EClassId id) const
-{
-    ISAMORE_CHECK(id < idCount_.load(std::memory_order_acquire));
-    Segment* segment =
-        segments_[id >> kSegmentBits].load(std::memory_order_acquire);
-    return segment->slots[id & (kSegmentSize - 1)];
-}
-
-EGraph::Shard&
-EGraph::shardFor(uint64_t hash) const
-{
-    return shards_[hash & (kShardCount - 1)];
-}
-
-std::mutex&
-EGraph::stripeFor(EClassId id) const
-{
-    return stripes_[id & (kStripeCount - 1)];
-}
-
-void
-EGraph::ensureSlot(EClassId id)
-{
-    const size_t segment = id >> kSegmentBits;
-    ISAMORE_CHECK_MSG(segment < kMaxSegments, "e-graph id space exhausted");
-    if (segments_[segment].load(std::memory_order_acquire) != nullptr) {
-        return;
-    }
-    std::lock_guard<std::mutex> lock(growMutex_);
-    if (segments_[segment].load(std::memory_order_relaxed) == nullptr) {
-        // Segments are allocated once and freed only at destruction, so
-        // a concurrent reader's slot reference can never dangle.
-        segments_[segment].store(new Segment(), std::memory_order_release);
-    }
 }
 
 EClassId
 EGraph::find(EClassId id) const
 {
-    // Lock-free walk over atomic parent links; merges only ever move a
-    // link toward its root, so the walk stays sound mid-race.  After a
-    // rebuild every link is a self-loop or points directly at a root
-    // (compressPaths), making this O(1) until the next merge.
-    for (;;) {
-        const EClassId parent =
-            slotRef(id).parent.load(std::memory_order_acquire);
-        if (parent == id) {
-            return id;
-        }
-        id = parent;
+    // Non-mutating, so rebuilt graphs can be read from several threads.
+    // After a rebuild every link is a self-loop or points directly at a
+    // root (compressPaths), making this O(1) until the next merge.
+    ISAMORE_CHECK(id < parent_.size());
+    while (parent_[id] != id) {
+        id = parent_[id];
     }
+    return id;
 }
 
 EClassId
 EGraph::findMutable(EClassId id)
 {
-    // Path halving over the atomic links.  Racing halvers only ever
-    // store ancestors, so concurrent calls stay sound.
-    for (;;) {
-        Slot& slot = slotRef(id);
-        const EClassId parent = slot.parent.load(std::memory_order_acquire);
-        if (parent == id) {
-            return id;
-        }
-        const EClassId grand =
-            slotRef(parent).parent.load(std::memory_order_acquire);
-        if (grand == parent) {
-            return parent;
-        }
-        slot.parent.store(grand, std::memory_order_release);
-        id = grand;
+    ISAMORE_CHECK(id < parent_.size());
+    while (parent_[id] != id) {
+        parent_[id] = parent_[parent_[id]];  // path halving
+        id = parent_[id];
     }
+    return id;
 }
 
 ENode
@@ -282,75 +103,33 @@ EGraph::canonicalize(const ENode& node) const
 EClassId
 EGraph::lookup(const ENode& node) const
 {
-    ENode canonical = canonicalize(node);
-    Shard& shard = shardFor(canonical.hash());
-    EClassId hit = kInvalidClass;
-    {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        auto it = shard.map.find(canonical);
-        if (it != shard.map.end()) {
-            hit = it->second;
-        }
-    }
-    return hit == kInvalidClass ? kInvalidClass : find(hit);
-}
-
-void
-EGraph::hookParents(const ENode& node, EClassId id)
-{
-    for (const EClassId child : node.children) {
-        for (;;) {
-            const EClassId canonical = find(child);
-            std::lock_guard<std::mutex> lock(stripeFor(canonical));
-            if (slotRef(canonical).parent.load(std::memory_order_acquire) !=
-                canonical) {
-                continue;  // lost a race with merge(); re-resolve
-            }
-            EClass* data = slotRef(canonical).cls.load(
-                std::memory_order_acquire);
-            data->parents.emplace_back(node, id);
-            break;
-        }
-    }
+    auto it = memo_.find(canonicalize(node));
+    return it == memo_.end() ? kInvalidClass : find(it->second);
 }
 
 EClassId
 EGraph::add(ENode node)
 {
-    ENode canonical = canonicalize(node);
-    Shard& shard = shardFor(canonical.hash());
-    EClassId id = kInvalidClass;
-    bool created = false;
-    {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        auto it = shard.map.find(canonical);
-        if (it != shard.map.end()) {
-            id = it->second;
-        } else {
-            id = static_cast<EClassId>(
-                idCount_.fetch_add(1, std::memory_order_acq_rel));
-            ensureSlot(id);
-            Slot& slot = slotRef(id);
-            slot.parent.store(id, std::memory_order_release);
-            const uint64_t born =
-                clock_.fetch_add(1, std::memory_order_relaxed) + 1;
-            for (size_t j = 0; j < kStampDepths; ++j) {
-                slot.stamps[j].store(born, std::memory_order_release);
-            }
-            EClass* data = new EClass();
-            data->nodes.push_back(canonical);
-            slot.cls.store(data, std::memory_order_release);
-            shard.map.emplace(canonical, id);
-            classCount_.fetch_add(1, std::memory_order_relaxed);
-            nodeCount_.fetch_add(1, std::memory_order_relaxed);
-            cachesStale_.store(true, std::memory_order_relaxed);
-            created = true;
-        }
+    for (EClassId& child : node.children) {
+        child = find(child);
     }
-    if (!created) {
-        return find(id);
+    auto it = memo_.find(node);
+    if (it != memo_.end()) {
+        return find(it->second);
     }
-    hookParents(canonical, id);
+    const auto id = static_cast<EClassId>(parent_.size());
+    parent_.push_back(id);
+    stamps_.emplace_back().fill(++clock_);
+    for (const EClassId child : node.children) {
+        classes_[child]->parents.emplace_back(node, id);
+    }
+    auto data = std::make_unique<EClass>();
+    data->nodes.push_back(node);
+    classes_.push_back(std::move(data));
+    memo_.emplace(std::move(node), id);
+    ++classCount_;
+    ++nodeCount_;
+    cachesStale_ = true;
     return id;
 }
 
@@ -368,117 +147,83 @@ EGraph::addTerm(const TermPtr& term)
 bool
 EGraph::merge(EClassId a, EClassId b)
 {
-    for (;;) {
-        a = findMutable(a);
-        b = findMutable(b);
-        if (a == b) {
-            return false;
-        }
-        // Lock the two class stripes in index order, then re-verify both
-        // ids are still roots; a racing merge loses exactly one of them.
-        const size_t sa = static_cast<size_t>(a) & (kStripeCount - 1);
-        const size_t sb = static_cast<size_t>(b) & (kStripeCount - 1);
-        std::unique_lock<std::mutex> first(stripes_[std::min(sa, sb)]);
-        std::unique_lock<std::mutex> second;
-        if (sa != sb) {
-            second = std::unique_lock<std::mutex>(stripes_[std::max(sa, sb)]);
-        }
-        if (slotRef(a).parent.load(std::memory_order_acquire) != a ||
-            slotRef(b).parent.load(std::memory_order_acquire) != b) {
-            continue;
-        }
-        EClass* winner = slotRef(a).cls.load(std::memory_order_acquire);
-        EClass* loser = slotRef(b).cls.load(std::memory_order_acquire);
-        // Union by (node-count) size: keep the larger class canonical.
-        if (winner->nodes.size() + winner->parents.size() <
-            loser->nodes.size() + loser->parents.size()) {
-            std::swap(a, b);
-            std::swap(winner, loser);
-        }
-        slotRef(b).parent.store(a, std::memory_order_release);
-        winner->nodes.insert(winner->nodes.end(),
-                             std::make_move_iterator(loser->nodes.begin()),
-                             std::make_move_iterator(loser->nodes.end()));
-        winner->parents.insert(
-            winner->parents.end(),
-            std::make_move_iterator(loser->parents.begin()),
-            std::make_move_iterator(loser->parents.end()));
-        // Unlink, then epoch-retire: a reader that resolved b's storage
-        // before the unlink may still be walking it, so the free waits
-        // for a full grace period (support/reclaim.hpp).
-        slotRef(b).cls.store(nullptr, std::memory_order_release);
-        reclaim::retireObject(loser);
-        classCount_.fetch_sub(1, std::memory_order_relaxed);
-        {
-            std::lock_guard<std::mutex> lock(worklistMutex_);
-            worklist_.push_back(a);
-            dirtySeeds_.push_back(a);
-        }
-        version_.fetch_add(1, std::memory_order_relaxed);
-        const uint64_t merged =
-            clock_.fetch_add(1, std::memory_order_relaxed) + 1;
-        for (size_t j = 0; j < kStampDepths; ++j) {
-            slotRef(a).stamps[j].store(merged, std::memory_order_release);
-        }
-        cachesStale_.store(true, std::memory_order_relaxed);
-        return true;
+    a = findMutable(a);
+    b = findMutable(b);
+    if (a == b) {
+        return false;
     }
+    // Union by (node-count) size: keep the larger class canonical.
+    if (classes_[a]->nodes.size() + classes_[a]->parents.size() <
+        classes_[b]->nodes.size() + classes_[b]->parents.size()) {
+        std::swap(a, b);
+    }
+    EClass& winner = *classes_[a];
+    EClass& loser = *classes_[b];
+    parent_[b] = a;
+    winner.nodes.insert(winner.nodes.end(),
+                        std::make_move_iterator(loser.nodes.begin()),
+                        std::make_move_iterator(loser.nodes.end()));
+    winner.parents.insert(winner.parents.end(),
+                          std::make_move_iterator(loser.parents.begin()),
+                          std::make_move_iterator(loser.parents.end()));
+    classes_[b].reset();
+    --classCount_;
+    worklist_.push_back(a);
+    dirtySeeds_.push_back(a);
+    ++version_;
+    stamps_[a].fill(++clock_);
+    cachesStale_ = true;
+    return true;
 }
 
-EGraph::RepairResult
-EGraph::repairProbe(EClassId id)
+bool
+EGraph::repair(EClassId id,
+               std::vector<std::pair<EClassId, EClassId>>& unions)
 {
-    RepairResult result;
-    EClass* data = slotRef(id).cls.load(std::memory_order_acquire);
-    ISAMORE_CHECK(data != nullptr);
+    EClass& data = *classes_[id];
 
-    // Repair re-canonicalizes parent nodes, fixes the hashcons, and
-    // collects classes made congruent by the pending unions.  Probes read
-    // the union-find frozen at the round boundary (no merges run until
-    // the serial drain), so every lane computes identical plans at every
-    // thread count.
-    auto parents = std::move(data->parents);
-    data->parents.clear();
+    // Re-canonicalize the parent nodes and re-key them in the hashcons,
+    // collecting classes made congruent by the pending unions.  Every
+    // stale key is dropped before any fresh key goes in, so a fresh key
+    // that equals another parent's stale key survives.
+    auto parents = std::move(data.parents);
+    data.parents.clear();
 
     // First-seen dedup of canonical parent nodes; the map carries the
-    // index into freshParents so iteration order never depends on the
-    // hash map's layout.
-    std::unordered_map<ENode, size_t, ENodeHash> fresh;
+    // index into fresh so the order never depends on the hash map's
+    // layout.
+    std::unordered_map<ENode, size_t, ENodeHash> seen;
+    seen.reserve(parents.size());
+    std::vector<std::pair<ENode, EClassId>> fresh;
     fresh.reserve(parents.size());
-    result.freshParents.reserve(parents.size());
     for (auto& [pnode, pclass] : parents) {
-        {
-            // Drop the stale key.  Cross-probe interleavings cannot lose
-            // entries: a key another probe freshly inserted is canonical,
-            // and a probe that erases a canonical key always re-inserts
-            // it (with an identical frozen-find value) in the same pass.
-            Shard& shard = shardFor(pnode.hash());
-            std::lock_guard<std::mutex> lock(shard.mutex);
-            shard.map.erase(pnode);
-        }
+        memo_.erase(pnode);
         ENode canonical = canonicalize(pnode);
         const EClassId canonicalClass = find(pclass);
-        auto it = fresh.find(canonical);
-        if (it != fresh.end()) {
-            // Congruent duplicates: defer the union to the serial drain.
-            result.unions.emplace_back(
-                result.freshParents[it->second].second, canonicalClass);
+        auto it = seen.find(canonical);
+        if (it != seen.end()) {
+            // Congruent duplicates: union after the round's repairs.
+            unions.emplace_back(fresh[it->second].second, canonicalClass);
         } else {
-            fresh.emplace(canonical, result.freshParents.size());
-            result.freshParents.emplace_back(std::move(canonical),
-                                             canonicalClass);
+            seen.emplace(canonical, fresh.size());
+            fresh.emplace_back(std::move(canonical), canonicalClass);
         }
     }
+    for (const auto& [node, klass] : fresh) {
+        memo_[node] = klass;
+    }
+    data.parents = std::move(fresh);
 
     // Deduplicate this class's own nodes after canonicalization.
     std::unordered_set<uint64_t> hashes;
-    result.uniqueNodes.reserve(data->nodes.size());
-    for (ENode& node : data->nodes) {
+    std::vector<ENode> unique;
+    unique.reserve(data.nodes.size());
+    for (ENode& node : data.nodes) {
         ENode canonical = canonicalize(node);
         const uint64_t h = canonical.hash();
         bool duplicate = false;
         if (!hashes.insert(h).second) {
-            for (const ENode& existing : result.uniqueNodes) {
+            for (const ENode& existing : unique) {
                 if (existing == canonical) {
                     duplicate = true;
                     break;
@@ -486,27 +231,13 @@ EGraph::repairProbe(EClassId id)
             }
         }
         if (!duplicate) {
-            result.uniqueNodes.push_back(std::move(canonical));
+            unique.push_back(std::move(canonical));
         }
     }
-    result.removedNodes = data->nodes.size() - result.uniqueNodes.size();
-    return result;
-}
-
-void
-EGraph::repairCommit(EClassId id, RepairResult& result)
-{
-    for (const auto& [node, klass] : result.freshParents) {
-        Shard& shard = shardFor(node.hash());
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        shard.map[node] = klass;
-    }
-    EClass* data = slotRef(id).cls.load(std::memory_order_acquire);
-    data->parents = std::move(result.freshParents);
-    data->nodes = std::move(result.uniqueNodes);
-    if (result.removedNodes != 0) {
-        nodeCount_.fetch_sub(result.removedNodes, std::memory_order_relaxed);
-    }
+    const size_t removed = data.nodes.size() - unique.size();
+    data.nodes = std::move(unique);
+    nodeCount_ -= removed;
+    return removed != 0;
 }
 
 void
@@ -517,24 +248,14 @@ EGraph::rebuild()
         size_t repaired = 0;
         size_t unions = 0;
     };
-    RebuildStats stats;
     std::vector<RoundRecord> rounds;
-    ThreadPool& pool = globalPool();
 
-    for (;;) {
+    while (!worklist_.empty()) {
         std::vector<EClassId> todo;
-        {
-            std::lock_guard<std::mutex> lock(worklistMutex_);
-            todo.swap(worklist_);
-        }
-        if (todo.empty()) {
-            break;
-        }
-        ++stats.rounds;
+        todo.swap(worklist_);
 
-        // Stable-dedup to canonical ids.  The worklist order is the
-        // (serial, deterministic) merge order, so first-occurrence order
-        // is deterministic too.
+        // Stable-dedup to canonical ids: first-occurrence order of the
+        // merge order, so deterministic.
         std::vector<EClassId> classes;
         classes.reserve(todo.size());
         {
@@ -548,68 +269,38 @@ EGraph::rebuild()
             }
         }
 
-        // Parallel repair: each probe owns one dirty class, reads the
-        // frozen union-find, and publishes its class's fresh parent list
-        // and memo entries.  Discovered congruences are deferred.
-        std::vector<RepairResult> results(classes.size());
-        auto repairOne = [&](size_t i) {
-            results[i] = repairProbe(classes[i]);
-            repairCommit(classes[i], results[i]);
-        };
-        if (pool.threadCount() > 1 && classes.size() > 1) {
-            pool.parallelFor(classes.size(), repairOne);
-        } else {
-            for (size_t i = 0; i < classes.size(); ++i) {
-                repairOne(i);
-            }
-        }
-
+        // Repair every dirty class against this round's union-find; the
+        // congruences found are applied only once all repairs are done.
         // A repair that collapsed duplicate nodes changed the class's own
-        // node list — match-visible at distance 0, exactly like a merge
-        // append — so it seeds the dirty propagation at depth 0 (merges
+        // node list -- match-visible at distance 0, exactly like a merge
+        // append -- so it seeds the dirty propagation at depth 0 (merges
         // seed themselves in merge()).
-        {
-            std::lock_guard<std::mutex> lock(worklistMutex_);
-            for (size_t i = 0; i < classes.size(); ++i) {
-                if (results[i].removedNodes != 0) {
-                    dirtySeeds_.push_back(classes[i]);
-                }
+        std::vector<std::pair<EClassId, EClassId>> pending;
+        for (const EClassId id : classes) {
+            if (repair(id, pending)) {
+                dirtySeeds_.push_back(id);
             }
         }
 
-        // Serial merge-frontier drain in (class order, discovery order):
-        // union winners depend only on class sizes, so every thread
-        // count applies the same unions with the same outcomes.
+        // Union in (class order, discovery order).
         size_t unions = 0;
-        for (RepairResult& result : results) {
-            for (const auto& [x, y] : result.unions) {
-                if (merge(x, y)) {
-                    ++unions;
-                }
+        for (const auto& [x, y] : pending) {
+            if (merge(x, y)) {
+                ++unions;
             }
         }
-        stats.repaired += classes.size();
-        stats.unions += unions;
         if (telemetry::enabled()) {
             rounds.push_back({todo.size(), classes.size(), unions});
         }
     }
-    // Each drained union retires exactly one loser class to the limbo.
-    stats.retired = stats.unions;
 
     propagateDirty();
     // Snapshot canonical ids into every link: post-rebuild find() is a
     // single load until the next merge.
     compressPaths();
-    if (cachesStale_.load(std::memory_order_relaxed)) {
+    if (cachesStale_) {
         refreshCaches();
     }
-    lastRebuild_ = stats;
-
-    // The caller holds no references into retired storage here, and the
-    // pool quiesced when its last job drained: collect what has expired.
-    reclaim::quiescent();
-    reclaim::tryReclaim();
 
     if (telemetry::enabled()) {
         auto& registry = telemetry::Registry::instance();
@@ -622,8 +313,6 @@ EGraph::rebuild()
                     ", \"repaired\": " + std::to_string(record.repaired) +
                     ", \"unions\": " + std::to_string(record.unions) + "}");
         }
-        registry.gauge("egraph.reclaim_deferred")
-            .set(static_cast<int64_t>(reclaim::deferredCount()));
     }
 }
 
@@ -648,19 +337,18 @@ EGraph::propagateDirty()
     // below it, even though the unbounded bucket is dirty.  Multi-source
     // BFS visits each class at its minimal distance first, which is
     // exactly the bucket boundary the skip proof needs.
-    const uint64_t now = clock_.fetch_add(1, std::memory_order_relaxed) + 1;
+    const uint64_t now = ++clock_;
     std::vector<EClassId> frontier;
     std::vector<EClassId> next;
     frontier.reserve(dirtySeeds_.size());
     auto visit = [&](EClassId c, size_t dist, std::vector<EClassId>& out) {
-        Slot& slot = slotRef(c);
-        if (slot.stamps[kStampDepths - 1].load(std::memory_order_relaxed) ==
-            now) {
+        Stamps& stamps = stamps_[c];
+        if (stamps[kStampDepths - 1] == now) {
             return;  // already reached at a smaller or equal distance
         }
         for (size_t j = std::min(dist, kStampDepths - 1); j < kStampDepths;
              ++j) {
-            slot.stamps[j].store(now, std::memory_order_relaxed);
+            stamps[j] = now;
         }
         out.push_back(c);
     };
@@ -671,9 +359,7 @@ EGraph::propagateDirty()
     for (size_t dist = 1; !frontier.empty(); ++dist) {
         next.clear();
         for (EClassId c : frontier) {
-            const EClass* data =
-                slotRef(c).cls.load(std::memory_order_relaxed);
-            for (const auto& [pnode, pclass] : data->parents) {
+            for (const auto& [pnode, pclass] : classes_[c]->parents) {
                 visit(findMutable(pclass), dist, next);
             }
         }
@@ -684,41 +370,26 @@ EGraph::propagateDirty()
 void
 EGraph::compressPaths()
 {
-    const uint32_t ids = idCount_.load(std::memory_order_relaxed);
-    for (uint32_t id = 0; id < ids; ++id) {
-        Slot& slot = slotRef(id);
-        const EClassId parent = slot.parent.load(std::memory_order_relaxed);
-        if (parent != id) {
-            slot.parent.store(findMutable(parent),
-                              std::memory_order_relaxed);
-        }
+    for (EClassId id = 0; id < parent_.size(); ++id) {
+        parent_[id] = findMutable(parent_[id]);
     }
 }
 
 const EClass&
 EGraph::cls(EClassId id) const
 {
-    const EClass* data = slotRef(id).cls.load(std::memory_order_acquire);
-    ISAMORE_CHECK_MSG(data != nullptr,
+    ISAMORE_CHECK_MSG(id < classes_.size() && classes_[id] != nullptr,
                       "cls() requires a canonical id; call find() first");
-    return *data;
-}
-
-bool
-EGraph::needsRebuild() const
-{
-    std::lock_guard<std::mutex> lock(worklistMutex_);
-    return !worklist_.empty();
+    return *classes_[id];
 }
 
 void
 EGraph::refreshCaches() const
 {
-    const uint32_t ids = idCount_.load(std::memory_order_acquire);
     classIdsCache_.clear();
-    classIdsCache_.reserve(classCount_.load(std::memory_order_relaxed));
-    for (uint32_t id = 0; id < ids; ++id) {
-        if (slotRef(id).cls.load(std::memory_order_relaxed) != nullptr) {
+    classIdsCache_.reserve(classCount_);
+    for (EClassId id = 0; id < classes_.size(); ++id) {
+        if (classes_[id] != nullptr) {
             classIdsCache_.push_back(id);
         }
     }
@@ -734,13 +405,8 @@ EGraph::refreshCaches() const
         // exact.
         uint64_t emitted = 0;  // bitset over ops (kNumOps < 64)
         static_assert(kNumOps <= 64);
-        const Slot& slot = slotRef(id);
-        uint64_t stamps[kStampDepths];
-        for (size_t j = 0; j < kStampDepths; ++j) {
-            stamps[j] = slot.stamps[j].load(std::memory_order_relaxed);
-        }
-        const EClass* data = slot.cls.load(std::memory_order_relaxed);
-        for (const ENode& node : data->nodes) {
+        const Stamps& stamps = stamps_[id];
+        for (const ENode& node : classes_[id]->nodes) {
             const uint64_t bit = uint64_t{1} << static_cast<size_t>(node.op);
             if ((emitted & bit) == 0) {
                 emitted |= bit;
@@ -753,13 +419,13 @@ EGraph::refreshCaches() const
             }
         }
     }
-    cachesStale_.store(false, std::memory_order_release);
+    cachesStale_ = false;
 }
 
 const std::vector<EClassId>&
 EGraph::classIds() const
 {
-    if (cachesStale_.load(std::memory_order_acquire)) {
+    if (cachesStale_) {
         refreshCaches();
     }
     return classIdsCache_;
@@ -768,7 +434,7 @@ EGraph::classIds() const
 const std::vector<EClassId>&
 EGraph::classesWithOp(Op op) const
 {
-    if (cachesStale_.load(std::memory_order_acquire)) {
+    if (cachesStale_) {
         refreshCaches();
     }
     return opIndex_[static_cast<size_t>(op)];
@@ -777,7 +443,7 @@ EGraph::classesWithOp(Op op) const
 uint64_t
 EGraph::maxStampWithOp(Op op, size_t depth) const
 {
-    if (cachesStale_.load(std::memory_order_acquire)) {
+    if (cachesStale_) {
         refreshCaches();
     }
     return opStampCache_[static_cast<size_t>(op) * kStampDepths +
@@ -787,16 +453,13 @@ EGraph::maxStampWithOp(Op op, size_t depth) const
 uint64_t
 EGraph::classStamp(EClassId id) const
 {
-    return slotRef(id).stamps[kStampDepths - 1].load(
-        std::memory_order_acquire);
+    return stamps_[id][kStampDepths - 1];
 }
 
 uint64_t
 EGraph::classStampAtDepth(EClassId id, size_t depth) const
 {
-    return slotRef(id)
-        .stamps[std::min(depth, kStampDepths - 1)]
-        .load(std::memory_order_acquire);
+    return stamps_[id][std::min(depth, kStampDepths - 1)];
 }
 
 std::vector<EClassId>
@@ -804,8 +467,7 @@ EGraph::classesDirtySince(uint64_t version) const
 {
     std::vector<EClassId> out;
     for (EClassId id : classIds()) {
-        if (slotRef(id).stamps[kStampDepths - 1].load(
-                std::memory_order_relaxed) > version) {
+        if (classStamp(id) > version) {
             out.push_back(id);
         }
     }
@@ -818,29 +480,25 @@ EGraph::exportSnapshot() const
     ISAMORE_CHECK_MSG(!needsRebuild(),
                       "exportSnapshot requires a rebuilt graph");
     EGraphSnapshot snap;
-    snap.clock = clock_.load(std::memory_order_relaxed);
-    snap.version = version_.load(std::memory_order_relaxed);
-    const uint32_t ids = idCount_.load(std::memory_order_acquire);
+    snap.clock = clock_;
+    snap.version = version_;
+    const auto ids = static_cast<uint32_t>(parent_.size());
     snap.numIds = ids;
     snap.unionFind.reserve(ids);
     snap.stamps.reserve(static_cast<size_t>(ids) * kStampDepths);
-    for (uint32_t id = 0; id < ids; ++id) {
-        const Slot& slot = slotRef(id);
+    for (EClassId id = 0; id < ids; ++id) {
         snap.unionFind.push_back(find(id));
-        for (size_t j = 0; j < kStampDepths; ++j) {
-            snap.stamps.push_back(
-                slot.stamps[j].load(std::memory_order_relaxed));
-        }
+        snap.stamps.insert(snap.stamps.end(), stamps_[id].begin(),
+                           stamps_[id].end());
     }
-    for (uint32_t id = 0; id < ids; ++id) {
-        const EClass* data = slotRef(id).cls.load(std::memory_order_acquire);
-        if (data == nullptr) {
+    for (EClassId id = 0; id < ids; ++id) {
+        if (classes_[id] == nullptr) {
             continue;
         }
         EGraphSnapshot::ClassImage image;
         image.id = id;
-        image.nodes = data->nodes;
-        image.parents = data->parents;
+        image.nodes = classes_[id]->nodes;
+        image.parents = classes_[id]->parents;
         snap.classes.push_back(std::move(image));
     }
     return snap;
@@ -892,48 +550,30 @@ EGraph::restoreSnapshot(const EGraphSnapshot& snapshot)
         }
     }
 
-    releaseStorage();
-    for (size_t s = 0; s < kShardCount; ++s) {
-        shards_[s].map.clear();
-    }
-    {
-        std::lock_guard<std::mutex> lock(worklistMutex_);
-        worklist_.clear();
-    }
-    dirtySeeds_.clear();
-    cachesStale_.store(true, std::memory_order_relaxed);
-    idCount_.store(ids, std::memory_order_release);
-
-    for (uint32_t id = 0; id < ids; ++id) {
-        ensureSlot(id);
-        Slot& slot = slotRef(id);
-        slot.parent.store(snapshot.unionFind[id], std::memory_order_relaxed);
+    EGraph restored;
+    restored.parent_ = snapshot.unionFind;
+    restored.stamps_.resize(ids);
+    for (EClassId id = 0; id < ids; ++id) {
         for (size_t j = 0; j < kStampDepths; ++j) {
-            slot.stamps[j].store(
-                snapshot.stamps[static_cast<size_t>(id) * kStampDepths + j],
-                std::memory_order_relaxed);
+            restored.stamps_[id][j] =
+                snapshot.stamps[static_cast<size_t>(id) * kStampDepths + j];
         }
-        slot.cls.store(nullptr, std::memory_order_relaxed);
     }
-
-    size_t classCount = 0;
-    size_t nodeCount = 0;
+    restored.classes_.resize(ids);
     for (const EGraphSnapshot::ClassImage& image : snapshot.classes) {
-        EClass* data = new EClass();
+        auto data = std::make_unique<EClass>();
         data->nodes = image.nodes;
         data->parents = image.parents;
-        slotRef(image.id).cls.store(data, std::memory_order_release);
         for (const ENode& node : data->nodes) {
-            shardFor(node.hash()).map.emplace(node, image.id);
+            restored.memo_.emplace(node, image.id);
         }
-        ++classCount;
-        nodeCount += data->nodes.size();
+        ++restored.classCount_;
+        restored.nodeCount_ += data->nodes.size();
+        restored.classes_[image.id] = std::move(data);
     }
-    classCount_.store(classCount, std::memory_order_relaxed);
-    nodeCount_.store(nodeCount, std::memory_order_relaxed);
-    version_.store(snapshot.version, std::memory_order_relaxed);
-    clock_.store(snapshot.clock, std::memory_order_relaxed);
-    lastRebuild_ = RebuildStats{};
+    restored.version_ = snapshot.version;
+    restored.clock_ = snapshot.clock;
+    *this = std::move(restored);
 }
 
 }  // namespace isamore

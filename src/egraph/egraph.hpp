@@ -8,43 +8,24 @@
  * unions and rebuild() repairs the hashcons and parent lists to a fixpoint
  * (the deferred-rebuilding design from egg).
  *
- * Concurrency model (DESIGN.md "Concurrent e-graph"):
- *
- *  - **add() / merge() / find() / lookup() / canonicalize() / addTerm()**
- *    are thread-safe against each other.  The hashcons is split over 64
- *    mutex-striped shards (the same pattern as the dsl term interner), the
- *    union-find lives in a two-level table of atomic slots whose addresses
- *    never move (segments are allocated once and never reallocated, so a
- *    concurrent reader never observes a growing vector), and per-class
- *    node/parent storage is guarded by 64 striped class locks keyed on the
- *    canonical id.  A class that loses a merge has its storage retired
- *    through epoch-based reclamation (support/reclaim.hpp) instead of
- *    freed, so a racing reader that resolved the class a moment earlier
- *    never touches freed memory.
- *  - **rebuild()** is a serial entry point (no concurrent mutators or
- *    readers) but internally fans congruence repair out across the global
- *    pool: each round re-canonicalizes the dirty classes' parent lists in
- *    parallel against the frozen union-find, then drains the discovered
- *    merge frontier serially in deterministic order.  Results are
- *    byte-identical at every thread count.
- *  - **Structure reads** (cls(), classIds(), classesWithOp(), stamps) are
- *    safe concurrently with each other but not with mutation; callers
- *    synchronize phases, which every in-tree user already does (search
- *    fan-outs run against a rebuilt, frozen graph).
+ * Threading: the graph is a plain single-threaded structure (DESIGN.md
+ * "Serial e-graph").  Mutation (add(), merge(), rebuild(),
+ * restoreSnapshot()) is serial.  Once rebuild() returns, the graph may be
+ * *read* from several threads at once -- find(), lookup(), cls(),
+ * classIds(), classesWithOp() and the stamp queries never write, because
+ * find() is a non-mutating walk and rebuild() compresses every path and
+ * refreshes the read caches eagerly.  The AU sweep's pool lanes and the
+ * server's shared workload graphs rely on exactly that.
  *
  * Determinism: class ids, stamps, and merge outcomes depend only on the
- * order of add()/merge() calls.  The EqSat driver keeps that order serial
- * and deterministic (parallel planning, serial commit), so pipeline output
- * is byte-identical at every thread count.  Callers that genuinely mutate
- * concurrently (the server's shared-graph priming, stress tests) get
- * thread-safety but not id determinism, and must not rely on specific ids.
+ * order of add()/merge() calls, so pipeline output is byte-identical at
+ * every thread count.
  */
 #pragma once
 
-#include <atomic>
+#include <array>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -102,14 +83,6 @@ struct EClass {
     std::vector<std::pair<ENode, EClassId>> parents;
 };
 
-/** Rebuild introspection for the last rebuild() call (telemetry). */
-struct RebuildStats {
-    size_t rounds = 0;       ///< repair rounds until fixpoint
-    size_t repaired = 0;     ///< classes repaired across all rounds
-    size_t unions = 0;       ///< congruence merges discovered
-    size_t retired = 0;      ///< loser classes retired to the epoch limbo
-};
-
 /**
  * Flat, pointer-free image of a rebuilt e-graph, suitable for binary
  * serialization (see corpus/).  Captures everything later graph
@@ -152,28 +125,26 @@ struct EGraphSnapshot {
  *  - a **cached canonical-id snapshot** (classIds()) and an incrementally
  *    maintained node count, both O(1) on the hot read paths.
  *
- * The caches refresh lazily; rebuild() always leaves them fresh, so the
- * read-only parallel match fan-out never hits a refresh (no data races).
+ * The caches refresh lazily; rebuild() always leaves them fresh, so
+ * concurrent readers of a rebuilt graph never hit a refresh.
  */
 class EGraph {
  public:
-    EGraph();
-    ~EGraph();
+    EGraph() = default;
 
-    /** Deep copy.  @pre @p other is quiescent (no concurrent mutators). */
+    /** Deep copy. */
     EGraph(const EGraph& other);
     EGraph& operator=(const EGraph& other);
 
     /** Move.  The moved-from graph may only be destroyed or assigned. */
-    EGraph(EGraph&& other) noexcept;
-    EGraph& operator=(EGraph&& other) noexcept;
+    EGraph(EGraph&& other) noexcept = default;
+    EGraph& operator=(EGraph&& other) noexcept = default;
 
     /** @name Construction
      *  @{ */
 
     /**
      * Add (hashcons) a node; children must be existing class ids.
-     * Thread-safe against concurrent add()/merge()/find()/lookup().
      * @return the canonical class containing the node.
      */
     EClassId add(ENode node);
@@ -182,19 +153,18 @@ class EGraph {
     EClassId addTerm(const TermPtr& term);
 
     /**
-     * Merge two e-classes; repair is deferred until rebuild().
-     * Thread-safe against concurrent add()/merge()/find()/lookup(); the
-     * losing class's storage is epoch-retired, never freed in place.
+     * Merge two e-classes; repair is deferred until rebuild().  The
+     * losing class's storage is freed here.
      * @return true when the classes were distinct.
      */
     bool merge(EClassId a, EClassId b);
 
     /**
-     * Restore the hashcons/congruence invariants after merges.  Serial
-     * entry point (no concurrent graph access); internally parallelizes
-     * each repair round across the global pool.  Must not be called from
-     * inside a pool task.  Also snapshots canonical ids into the
-     * union-find (full path compression), so post-rebuild find() is O(1).
+     * Restore the hashcons/congruence invariants after merges.  Each round
+     * repairs the dirty classes in worklist order, then applies the
+     * unions it discovered in discovery order.  Also snapshots canonical
+     * ids into the union-find (full path compression), so post-rebuild
+     * find() is O(1), and refreshes the read caches.
      */
     void rebuild();
 
@@ -204,10 +174,9 @@ class EGraph {
      *  @{ */
 
     /**
-     * Canonical representative of @p id.  Read-only and safe concurrently
-     * with add()/merge(): the walk follows atomic parent links.  After a
-     * rebuild() every link points directly at its root, so this is O(1)
-     * until the next merge.
+     * Canonical representative of @p id.  A non-mutating walk, so it is
+     * safe from several readers at once.  After a rebuild() every link
+     * points directly at its root, so this is O(1) until the next merge.
      */
     EClassId find(EClassId id) const;
 
@@ -220,27 +189,17 @@ class EGraph {
      */
     EClassId lookup(const ENode& node) const;
 
-    /** Class data. @pre @p id is canonical (call find() first) and no
-     *  concurrent mutator is running. */
+    /** Class data. @pre @p id is canonical (call find() first). */
     const EClass& cls(EClassId id) const;
 
     /** Number of live (canonical) e-classes. */
-    size_t numClasses() const
-    {
-        return classCount_.load(std::memory_order_relaxed);
-    }
+    size_t numClasses() const { return classCount_; }
 
     /** Number of e-nodes across live classes (maintained incrementally). */
-    size_t numNodes() const
-    {
-        return nodeCount_.load(std::memory_order_relaxed);
-    }
+    size_t numNodes() const { return nodeCount_; }
 
     /** Total ids ever allocated (canonical or merged away). */
-    size_t numIds() const
-    {
-        return idCount_.load(std::memory_order_acquire);
-    }
+    size_t numIds() const { return parent_.size(); }
 
     /**
      * Snapshot of all canonical class ids (stable order: ascending).
@@ -256,16 +215,10 @@ class EGraph {
     const std::vector<EClassId>& classesWithOp(Op op) const;
 
     /** Whether there are pending merges not yet rebuilt. */
-    bool needsRebuild() const;
+    bool needsRebuild() const { return !worklist_.empty(); }
 
     /** Monotone counter of merges performed (for saturation detection). */
-    uint64_t version() const
-    {
-        return version_.load(std::memory_order_relaxed);
-    }
-
-    /** Introspection for the most recent rebuild() call. */
-    const RebuildStats& lastRebuild() const { return lastRebuild_; }
+    uint64_t version() const { return version_; }
 
     /** @name Dirty tracking (incremental e-matching)
      *  @{ */
@@ -275,10 +228,7 @@ class EGraph {
      * merge.  Snapshot it after a rebuild(); classes whose stamp exceeds
      * the snapshot may match differently than they did then.
      */
-    uint64_t matchClock() const
-    {
-        return clock_.load(std::memory_order_relaxed);
-    }
+    uint64_t matchClock() const { return clock_; }
 
     /**
      * Number of dirty-stamp distance buckets.  Bucket @c j < kStampDepths-1
@@ -331,7 +281,7 @@ class EGraph {
 
     /**
      * Export a complete image of the graph.  @pre the graph is rebuilt
-     * (!needsRebuild()) and quiescent.  Restoring the image into a fresh
+     * (!needsRebuild()).  Restoring the image into a fresh
      * graph reproduces one that is observationally identical: same class
      * ids, union-find resolution, stamps, clocks, and node/parent list
      * orders, so any later sequence of operations behaves exactly as it
@@ -352,62 +302,20 @@ class EGraph {
     /** @} */
 
  private:
-    // Sharding parameters.  64 shards/stripes mirror the dsl interner:
-    // wide enough that 16 lanes rarely collide, small enough that the
-    // per-graph footprint stays in the tens of kilobytes.
-    static constexpr size_t kShardCount = 64;
-    static constexpr size_t kStripeCount = 64;
-    // Two-level id table: segments of 2048 slots, addresses fixed for the
-    // graph's lifetime so lock-free readers never chase a reallocation.
-    static constexpr size_t kSegmentBits = 11;
-    static constexpr size_t kSegmentSize = size_t{1} << kSegmentBits;
-    static constexpr size_t kMaxSegments = 2048;  // ~4.2M ids
+    /** Stamp buckets of one id: stamps[j] is the latest clock at which
+     *  anything within j parent-edges below the class (the class itself
+     *  at j == 0) changed; the last bucket is unbounded.  Monotone in j
+     *  by construction. */
+    using Stamps = std::array<uint64_t, kStampDepths>;
 
-    /** Per-id record: union-find link, dirty stamps, class storage. */
-    struct Slot {
-        std::atomic<EClassId> parent{0};
-        /**
-         * Dirty stamps by distance bucket: stamps[j] is the latest clock
-         * at which anything within j parent-edges below this class (the
-         * class itself at j == 0) changed; the last bucket is unbounded.
-         * Monotone in j by construction.
-         */
-        std::atomic<uint64_t> stamps[kStampDepths] = {};
-        std::atomic<EClass*> cls{nullptr};
-    };
-    struct Segment {
-        Slot slots[kSegmentSize];
-    };
-    /** One hashcons shard: nodes whose hash lands in this shard. */
-    struct Shard {
-        std::mutex mutex;
-        std::unordered_map<ENode, EClassId, ENodeHash> map;
-    };
-
-    /** Outcome of one parallel repair probe (frozen union-find reads). */
-    struct RepairResult {
-        /** Re-canonicalized parent list, first-seen order (deterministic
-         *  independent of hash-map iteration). */
-        std::vector<std::pair<ENode, EClassId>> freshParents;
-        /** Congruent duplicate pairs to union, discovery order. */
-        std::vector<std::pair<EClassId, EClassId>> unions;
-        /** Deduplicated canonical own nodes. */
-        std::vector<ENode> uniqueNodes;
-        /** Nodes removed by the dedup (nodeCount_ adjustment). */
-        size_t removedNodes = 0;
-    };
-
-    Slot& slotRef(EClassId id) const;
-    Shard& shardFor(uint64_t hash) const;
-    std::mutex& stripeFor(EClassId id) const;
-    /** Ensure the segment containing @p id exists. */
-    void ensureSlot(EClassId id);
-    /** Hook @p node (with class @p id) into its children's parent lists. */
-    void hookParents(const ENode& node, EClassId id);
-    /** Phase 1 of repair: erase stale memo keys, plan the fresh state. */
-    RepairResult repairProbe(EClassId id);
-    /** Phase 2 of repair: publish memo entries and class storage. */
-    void repairCommit(EClassId id, RepairResult& result);
+    /**
+     * Repair one dirty class against the current union-find: re-key its
+     * parents in the hashcons, dedup its parents and own nodes, and
+     * append the congruent pairs it finds to @p unions (discovery order).
+     * @return whether own nodes collapsed (a depth-0 change).
+     */
+    bool repair(EClassId id,
+                std::vector<std::pair<EClassId, EClassId>>& unions);
     /** find() with path halving; only valid from mutation paths. */
     EClassId findMutable(EClassId id);
     /** Rebuild classIds/op-index caches when stale. */
@@ -416,38 +324,31 @@ class EGraph {
     void propagateDirty();
     /** Point every id's parent link directly at its root. */
     void compressPaths();
-    /** Free all owned storage (quiescent; for dtor/assignment). */
-    void releaseStorage();
-    /** Deep-copy @p other into this empty graph. */
-    void copyFrom(const EGraph& other);
 
-    // Id table + hashcons + class locks.  unique_ptr arrays keep the
-    // graph movable (mutexes themselves are pinned).
-    std::unique_ptr<std::atomic<Segment*>[]> segments_;
-    std::unique_ptr<Shard[]> shards_;
-    std::unique_ptr<std::mutex[]> stripes_;
-    std::mutex growMutex_;
+    std::unordered_map<ENode, EClassId, ENodeHash> memo_;  // hashcons
+    // Per id, indexed by EClassId: union-find link, stamp buckets, and
+    // class storage (null once the class lost a merge).  Storage sits
+    // behind a pointer so cls() references survive later add() calls.
+    std::vector<EClassId> parent_;
+    std::vector<Stamps> stamps_;
+    std::vector<std::unique_ptr<EClass>> classes_;
 
-    std::atomic<uint32_t> idCount_{0};
-    std::atomic<size_t> classCount_{0};
-    std::atomic<size_t> nodeCount_{0};  // Σ nodes over live classes
-    std::atomic<uint64_t> version_{0};
-    std::atomic<uint64_t> clock_{0};    // modification clock
+    size_t classCount_ = 0;
+    size_t nodeCount_ = 0;  // Σ nodes over live classes
+    uint64_t version_ = 0;
+    uint64_t clock_ = 0;    // modification clock
 
-    mutable std::mutex worklistMutex_;
     std::vector<EClassId> worklist_;
     std::vector<EClassId> dirtySeeds_;  // merge winners awaiting propagation
 
-    RebuildStats lastRebuild_;
-
     // Lazily refreshed read caches (see refreshCaches()).  Mutable so the
     // const read path can refresh them; rebuild() always refreshes
-    // eagerly, which keeps the concurrent read-only phases refresh-free.
+    // eagerly, which keeps concurrent readers refresh-free.
     mutable std::vector<EClassId> classIdsCache_;
     mutable std::vector<std::vector<EClassId>> opIndex_;  // by Op value
     /** Max stamp per (op, depth bucket), flat [op * kStampDepths + j]. */
     mutable std::vector<uint64_t> opStampCache_;
-    mutable std::atomic<bool> cachesStale_{true};
+    mutable bool cachesStale_ = true;
 };
 
 }  // namespace isamore

@@ -6,11 +6,9 @@
 #include <sstream>
 
 #include "egraph/ematch_program.hpp"
-#include "egraph/parallel_apply.hpp"
 #include "egraph/scheduler.hpp"
 #include "support/check.hpp"
 #include "support/fault.hpp"
-#include "support/pool.hpp"
 #include "support/stopwatch.hpp"
 #include "support/telemetry.hpp"
 
@@ -130,11 +128,7 @@ runEqSat(EGraph& egraph, const std::vector<RewriteRule>& rules,
     BudgetSpec spec;
     spec.maxSeconds = limits.maxSeconds;
     Budget budget(spec, parent);
-    {
-        Stopwatch phase;
-        egraph.rebuild();
-        stats.rebuildSeconds += phase.seconds();
-    }
+    egraph.rebuild();
     stats.peakNodes = egraph.numNodes();
     stats.peakClasses = egraph.numClasses();
 
@@ -204,11 +198,10 @@ runEqSat(EGraph& egraph, const std::vector<RewriteRule>& rules,
 
         // Phase 1: search all rules against the current (stable) e-graph.
         // The e-graph is frozen between rebuilds (egg's deferred-rebuild
-        // design), so matching is a pure read-only fan-out: each eligible
-        // rule's ematchAll runs as one pool task, and the order-sensitive
-        // bookkeeping (fault sites, bans, guards, the early break) is
-        // replayed serially in rule order afterwards so the run is
-        // observably identical to the serial one for any thread count.
+        // design): every eligible rule searches first, in rule order, and
+        // the order-sensitive bookkeeping (fault sites, bans, guards, the
+        // early break) runs afterwards in rule order.  A search error is
+        // held until its rule's turn in that second loop.
         struct PendingUnion {
             const RewriteRule* rule;
             EMatch match;
@@ -261,13 +254,11 @@ runEqSat(EGraph& egraph, const std::vector<RewriteRule>& rules,
             searches.push_back(std::move(search));
         }
 
-        Stopwatch searchWatch;
         {
             TELEM_SPAN("eqsat.search", "eqsat");
-            globalPool().parallelFor(searches.size(), [&](size_t i) {
-                RuleSearch& search = searches[i];
+            for (RuleSearch& search : searches) {
                 if (search.replay) {
-                    return;
+                    continue;
                 }
                 const size_t r = search.ruleIndex;
                 IncrementalSearchState* state =
@@ -282,7 +273,7 @@ runEqSat(EGraph& egraph, const std::vector<RewriteRule>& rules,
                 } catch (...) {
                     search.error = std::current_exception();
                 }
-            });
+            }
         }
 
         // Cached matches trailing a rule's last emitted one roll forward
@@ -347,7 +338,6 @@ runEqSat(EGraph& egraph, const std::vector<RewriteRule>& rules,
                 break;
             }
         }
-        stats.searchSeconds += searchWatch.seconds();
 
         // Phase 2: apply.  Matches already collected are applied even
         // when the search was cut short, mirroring the pre-budget
@@ -381,28 +371,9 @@ runEqSat(EGraph& egraph, const std::vector<RewriteRule>& rules,
             }
             return false;
         };
-        Stopwatch applyWatch;
-        // Plan the RHS instantiations in parallel against the frozen
-        // graph: all the hashing and hashcons probing happens here, one
-        // pool task per pending match, while the mutations below stay in
-        // deterministic (rule, match-index) order.  Skipped when a limit
-        // already tripped — the loop below exits within one poll window,
-        // so eager planning would be wasted work.
-        std::vector<ApplyPlan> plans;
-        const bool planned =
-            !pending.empty() && !out_of_time && !out_of_units;
-        if (planned) {
-            TELEM_SPAN("eqsat.plan", "eqsat");
-            plans.resize(pending.size());
-            globalPool().parallelFor(pending.size(), [&](size_t i) {
-                plans[i] = planInstantiation(egraph, pending[i].rule->rhs,
-                                             pending[i].match.subst);
-            });
-        }
         {
             TELEM_SPAN("eqsat.apply", "eqsat");
-            for (size_t pi = 0; pi < pending.size(); ++pi) {
-                const PendingUnion& p = pending[pi];
+            for (const PendingUnion& p : pending) {
                 if (advance_virtual(p.virtualBefore)) {
                     break;
                 }
@@ -411,10 +382,8 @@ runEqSat(EGraph& egraph, const std::vector<RewriteRule>& rules,
                     break;
                 }
                 try {
-                    EClassId rhs_class =
-                        planned ? commitPlan(egraph, plans[pi])
-                                : instantiate(egraph, p.rule->rhs,
-                                              p.match.subst);
+                    const EClassId rhs_class =
+                        instantiate(egraph, p.rule->rhs, p.match.subst);
                     if (egraph.merge(p.match.root, rhs_class)) {
                         ++stats.applications;
                         ++iterTotals[static_cast<size_t>(p.rule -
@@ -449,7 +418,6 @@ runEqSat(EGraph& egraph, const std::vector<RewriteRule>& rules,
                 advance_virtual(virtual_carry);
             }
         }
-        stats.applySeconds += applyWatch.seconds();
         if (apply_skips != 0) {
             // A dropped application is a match the incremental baseline
             // would wrongly consider consumed; start every rule over.
@@ -460,9 +428,7 @@ runEqSat(EGraph& egraph, const std::vector<RewriteRule>& rules,
         }
         {
             TELEM_SPAN("eqsat.rebuild", "eqsat");
-            Stopwatch rebuildWatch;
             egraph.rebuild();
-            stats.rebuildSeconds += rebuildWatch.seconds();
         }
 
         stats.peakNodes = std::max(stats.peakNodes, egraph.numNodes());

@@ -132,11 +132,6 @@ struct EqSatStats {
     size_t skippedRules = 0;
     StopReason stopReason = StopReason::Saturated;
     double seconds = 0.0;
-    /** Wall-clock per phase, summed over iterations (bench/telemetry
-     *  only — never surfaced in deterministic pipeline output). */
-    double searchSeconds = 0.0;
-    double applySeconds = 0.0;   ///< planning + deterministic commit
-    double rebuildSeconds = 0.0; ///< congruence repair fixpoints
     /** Adaptive-scheduler activity, summed over iterations.  Like the
      *  phase clocks these never reach deterministic pipeline output
      *  (the schedule itself is deterministic, but the counts depend on

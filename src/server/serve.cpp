@@ -22,7 +22,6 @@
 #include "server/queue.hpp"
 #include "server/session.hpp"
 #include "support/budget.hpp"
-#include "support/reclaim.hpp"
 #include "support/telemetry.hpp"
 
 namespace isamore {
@@ -396,11 +395,6 @@ laneMain(ServeContext& ctx, size_t lane)
                 emitEvent(ctx, ev.str());
             }
         }
-
-        // The response is out and this lane holds no references into
-        // any shared e-graph: a natural quiescent point, so retired
-        // e-graph storage from this request can be reclaimed.
-        reclaim::quiescent();
 
         if (request.op == RequestOp::Analyze &&
             ctx.options.purgeEvery > 0) {

@@ -1,24 +1,38 @@
 #include "support/pool.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <memory>
 
 #include "support/check.hpp"
-#include "support/reclaim.hpp"
 #include "support/telemetry.hpp"
 
 namespace isamore {
 
+std::optional<size_t>
+parseThreadCount(std::string_view text)
+{
+    if (text.empty() || !std::all_of(text.begin(), text.end(), [](char c) {
+            return c >= '0' && c <= '9';
+        })) {
+        return std::nullopt;
+    }
+    size_t value = 0;
+    const auto result =
+        std::from_chars(text.data(), text.data() + text.size(), value);
+    if (result.ec != std::errc() || value == 0) {
+        return std::nullopt;  // overflow, or zero
+    }
+    return value;
+}
+
 size_t
 ThreadPool::defaultThreadCount()
 {
-    if (const char* env = std::getenv("ISAMORE_THREADS");
-        env != nullptr && *env != '\0') {
-        char* end = nullptr;
-        const unsigned long value = std::strtoul(env, &end, 10);
-        if (end != nullptr && *end == '\0' && value >= 1) {
-            return static_cast<size_t>(value);
+    if (const char* env = std::getenv("ISAMORE_THREADS"); env != nullptr) {
+        if (const std::optional<size_t> count = parseThreadCount(env)) {
+            return *count;
         }
     }
     const unsigned hardware = std::thread::hardware_concurrency();
@@ -109,11 +123,6 @@ ThreadPool::runLane(size_t lane)
     size_t index;
     LaneCounters& counters = counters_[lane];
     while (true) {
-        // Task boundaries are the pool's quiescent points: a lane holds
-        // no references into epoch-protected structures between bodies,
-        // which is what lets the e-graph retire storage mid-job and
-        // reclaim it once every lane has moved on (see support/reclaim).
-        reclaim::quiescent();
         if (popOwn(deques_[lane], index)) {
             counters.tasks.fetch_add(1, std::memory_order_relaxed);
             execute(index);
@@ -181,7 +190,6 @@ ThreadPool::parallelFor(size_t n, const std::function<void(size_t)>& body)
             body(i);
         }
         counters_[0].tasks.fetch_add(n, std::memory_order_relaxed);
-        reclaim::quiescent();
         return;
     }
 

@@ -1,8 +1,7 @@
 /**
  * @file
- * A shared work-stealing thread pool for the embarrassingly parallel
- * phases of the pipeline (EqSat's read-only match fan-out, the AU pair
- * sweep, the bench harness).
+ * A shared work-stealing thread pool for the AU pair sweep, the
+ * pipeline's one embarrassingly parallel phase.
  *
  * Each lane (the calling thread plus N-1 persistent workers) owns a
  * Chase--Lev-style deque of task indices: the owner pushes and pops at
@@ -15,8 +14,8 @@
  * Determinism contract: parallelFor(n, body) invokes body(i) exactly once
  * for every i in [0, n), in an unspecified order and from unspecified
  * threads.  Callers that need deterministic output must make each body(i)
- * independent and merge results by index afterwards (see rii/au.cpp and
- * egraph/rewrite.cpp).  Results then do not depend on the thread count.
+ * independent and merge results by index afterwards (see rii/au.cpp).
+ * Results then do not depend on the thread count.
  *
  * Thread-count resolution: the process-global pool is sized from, in
  * priority order, setGlobalThreads() (the CLI's --threads flag), the
@@ -38,6 +37,8 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -96,7 +97,8 @@ class ThreadPool {
         return out;
     }
 
-    /** ISAMORE_THREADS if set (>=1), else the hardware concurrency. */
+    /** ISAMORE_THREADS if it parses (parseThreadCount), else the
+     *  hardware concurrency. */
     static size_t defaultThreadCount();
 
     /** Snapshot the cumulative task/steal counters (see PoolStats). */
@@ -160,6 +162,13 @@ class ThreadPool {
     std::condition_variable doneCv_;
     size_t joined_ = 0;  // guarded by doneMutex_
 };
+
+/**
+ * Parse a thread count as given to --threads or ISAMORE_THREADS: decimal
+ * digits only (no sign, no spaces), value >= 1, and no overflow.
+ * @return the count, or nullopt when @p text is anything else.
+ */
+std::optional<size_t> parseThreadCount(std::string_view text);
 
 /**
  * The process-global pool.  First use creates it with

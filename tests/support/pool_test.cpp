@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -129,12 +130,29 @@ TEST(PoolTest, MoreLanesThanTasks)
 
 TEST(PoolTest, DefaultThreadCountHonorsEnvironment)
 {
+    unsetenv("ISAMORE_THREADS");
+    const size_t hardware = ThreadPool::defaultThreadCount();
+    EXPECT_GE(hardware, 1u);
     setenv("ISAMORE_THREADS", "3", 1);
     EXPECT_EQ(ThreadPool::defaultThreadCount(), 3u);
-    setenv("ISAMORE_THREADS", "not-a-number", 1);
-    const size_t fallback = ThreadPool::defaultThreadCount();
-    EXPECT_GE(fallback, 1u);
+    // Anything parseThreadCount rejects falls back to the hardware count.
+    for (const char* bad : {"not-a-number", "-1", "0"}) {
+        setenv("ISAMORE_THREADS", bad, 1);
+        EXPECT_EQ(ThreadPool::defaultThreadCount(), hardware) << bad;
+    }
     unsetenv("ISAMORE_THREADS");
+}
+
+TEST(PoolTest, ParseThreadCountAcceptsPositiveDecimalsOnly)
+{
+    EXPECT_EQ(parseThreadCount("1"), std::optional<size_t>(1));
+    EXPECT_EQ(parseThreadCount("4"), std::optional<size_t>(4));
+    EXPECT_EQ(parseThreadCount("016"), std::optional<size_t>(16));
+    for (const char* bad : {"", "0", "00", "-1", "-0", "+2", " 2", "2 ",
+                            "2x", "0x4", "1.5", "four",
+                            "99999999999999999999999"}) {
+        EXPECT_EQ(parseThreadCount(bad), std::nullopt) << '"' << bad << '"';
+    }
 }
 
 TEST(PoolTest, GlobalPoolResizes)

@@ -6,20 +6,15 @@
  * Usage:
  *   isamore_bench [--workloads <a,b,c>] [--reps <n>] [--threads <n>]
  *                 [--out <path>] [--baseline <path>] [--check-identical]
- *                 [--min-eqsat-speedup <x>] [--min-ematch-speedup <x>]
+ *                 [--min-ematch-speedup <x>]
  *                 [--min-au-speedup <x>]
  *                 [--min-eqsat-time-reduction <x>]
  *
  * Per workload and repetition, the pipeline's stages are timed
  * independently:
  *   - eqsat:    equality saturation of the encoded e-graph with the
- *               integer saturating ruleset, at the configured thread
- *               count and serially on an identical copy; the report
- *               breaks both runs into search / apply / rebuild phase
- *               medians, and --min-eqsat-speedup <x> fails the run
- *               (exit 1) when median(serial)/median(parallel) drops
- *               below x on any selected workload.  A schedule
- *               comparison additionally times, on identical copies with
+ *               integer saturating ruleset.  A schedule comparison
+ *               additionally times, on identical copies with
  *               per-rep rotated run order, the adaptive default, the
  *               exhaustive strategy (scheduling and incremental search
  *               off: every rule searched from scratch every iteration),
@@ -179,13 +174,6 @@ pairedOverheadRatio(const StageTiming& a, const StageTiming& b)
 struct WorkloadReport {
     std::string name;
     StageTiming eqsat;
-    StageTiming eqsatSerial;
-    StageTiming eqsatSearch;
-    StageTiming eqsatApply;
-    StageTiming eqsatRebuild;
-    StageTiming eqsatSerialSearch;
-    StageTiming eqsatSerialApply;
-    StageTiming eqsatSerialRebuild;
     StageTiming eqsatExhaustive;
     /** Adaptive default re-timed inside the fair rotation (the headline
      *  `eqsat` sample always runs first in a rep, so it systematically
@@ -314,20 +302,6 @@ writeReport(std::ostream& os, const std::vector<WorkloadReport>& reports,
            << "     \"stages\": {\n"
            << "       \"eqsat\": ";
         writeSamples(os, r.eqsat);
-        os << ",\n       \"eqsat_serial\": ";
-        writeSamples(os, r.eqsatSerial);
-        os << ",\n       \"eqsat_search\": ";
-        writeSamples(os, r.eqsatSearch);
-        os << ",\n       \"eqsat_apply\": ";
-        writeSamples(os, r.eqsatApply);
-        os << ",\n       \"eqsat_rebuild\": ";
-        writeSamples(os, r.eqsatRebuild);
-        os << ",\n       \"eqsat_serial_search\": ";
-        writeSamples(os, r.eqsatSerialSearch);
-        os << ",\n       \"eqsat_serial_apply\": ";
-        writeSamples(os, r.eqsatSerialApply);
-        os << ",\n       \"eqsat_serial_rebuild\": ";
-        writeSamples(os, r.eqsatSerialRebuild);
         os << ",\n       \"eqsat_exhaustive\": ";
         writeSamples(os, r.eqsatExhaustive);
         os << ",\n       \"eqsat_adaptive\": ";
@@ -365,9 +339,7 @@ writeReport(std::ostream& os, const std::vector<WorkloadReport>& reports,
             writeSamples(os, r.corpusWarm);
         }
         os << "\n     },\n"
-           << "     \"eqsat_speedup\": "
-           << r.eqsatSerial.median() / std::max(r.eqsat.median(), 1e-6)
-           << ",\n     \"eqsat_time_reduction\": "
+           << "     \"eqsat_time_reduction\": "
            << r.eqsatExhaustive.median() /
                   std::max(r.eqsatAdaptive.median(), 1e-6);
         if (r.tunedBenched) {
@@ -654,7 +626,6 @@ printBaselineDeltas(const std::vector<WorkloadReport>& reports,
         const std::vector<std::pair<std::string, const StageTiming*>>
             current{
                 {"eqsat", &r.eqsat},
-                {"eqsat_serial", &r.eqsatSerial},
                 {"eqsat_exhaustive", &r.eqsatExhaustive},
                 {"eqsat_adaptive", &r.eqsatAdaptive},
                 {"eqsat_tuned", &r.eqsatTuned},
@@ -699,7 +670,7 @@ usage()
     std::cerr << "usage: isamore_bench [--workloads <a,b,c>] [--reps <n>]"
                  " [--threads <n>] [--out <path>] [--baseline <path>]"
                  " [--check-identical]"
-                 " [--min-eqsat-speedup <x>] [--min-ematch-speedup <x>]"
+                 " [--min-ematch-speedup <x>]"
                  " [--min-au-speedup <x>]"
                  " [--min-eqsat-time-reduction <x>] [--serve-bench]"
                  " [--min-serve-speedup <x>] [--max-observe-overhead <x>]"
@@ -727,7 +698,6 @@ main(int argc, char** argv)
     double minServeSpeedup = 0.0;
     double maxObserveOverhead = 0.0;
     double minCorpusSpeedup = 0.0;
-    double minEqsatSpeedup = 0.0;
     double minEqsatTimeReduction = 0.0;
     /** Workload (or "global") -> tuned strategy spec (see --tuned). */
     std::map<std::string, std::string> tunedSpecs;
@@ -742,12 +712,11 @@ main(int argc, char** argv)
                 return usage();
             }
         } else if (flag == "--threads" && i + 1 < argc) {
-            const unsigned long threads =
-                std::strtoul(argv[++i], nullptr, 10);
-            if (threads == 0) {
+            const std::optional<size_t> threads = parseThreadCount(argv[++i]);
+            if (!threads) {
                 return usage();
             }
-            setGlobalThreads(threads);
+            setGlobalThreads(*threads);
         } else if (flag == "--out" && i + 1 < argc) {
             outPath = argv[++i];
         } else if (flag == "--baseline" && i + 1 < argc) {
@@ -757,11 +726,6 @@ main(int argc, char** argv)
         } else if (flag == "--min-ematch-speedup" && i + 1 < argc) {
             minEmatchSpeedup = std::strtod(argv[++i], nullptr);
             if (minEmatchSpeedup <= 0.0) {
-                return usage();
-            }
-        } else if (flag == "--min-eqsat-speedup" && i + 1 < argc) {
-            minEqsatSpeedup = std::strtod(argv[++i], nullptr);
-            if (minEqsatSpeedup <= 0.0) {
                 return usage();
             }
         } else if (flag == "--min-au-speedup" && i + 1 < argc) {
@@ -913,47 +877,12 @@ main(int argc, char** argv)
         }
 
         for (size_t rep = 0; rep < reps; ++rep) {
-            // Stage 1: EqSat on a fresh copy of the encoded e-graph, at
-            // the configured thread count and serially on an identical
-            // copy.  The EqSatStats phase clocks break the totals into
-            // search / apply (plan + commit) / rebuild so the report
-            // shows where the lanes actually help.
+            // Stage 1: EqSat on a fresh copy of the encoded e-graph.
             EGraph egraph = analyzed.program.egraph;
             Stopwatch watch;
-            const EqSatStats parStats =
+            const EqSatStats eqsatStats =
                 runEqSat(egraph, searchRules, config.eqsat);
             report.eqsat.samplesMs.push_back(watch.seconds() * 1e3);
-            report.eqsatSearch.samplesMs.push_back(parStats.searchSeconds *
-                                                   1e3);
-            report.eqsatApply.samplesMs.push_back(parStats.applySeconds *
-                                                  1e3);
-            report.eqsatRebuild.samplesMs.push_back(
-                parStats.rebuildSeconds * 1e3);
-            {
-                EGraph serialGraph = analyzed.program.egraph;
-                setGlobalThreads(1);
-                watch.reset();
-                const EqSatStats serialStats =
-                    runEqSat(serialGraph, searchRules, config.eqsat);
-                report.eqsatSerial.samplesMs.push_back(watch.seconds() *
-                                                       1e3);
-                setGlobalThreads(threads);
-                report.eqsatSerialSearch.samplesMs.push_back(
-                    serialStats.searchSeconds * 1e3);
-                report.eqsatSerialApply.samplesMs.push_back(
-                    serialStats.applySeconds * 1e3);
-                report.eqsatSerialRebuild.samplesMs.push_back(
-                    serialStats.rebuildSeconds * 1e3);
-                // Only a wall-clock stop may legitimately differ
-                // between the two runs.
-                ISAMORE_CHECK_MSG(
-                    serialStats.stopReason == StopReason::TimeLimit ||
-                        parStats.stopReason == StopReason::TimeLimit ||
-                        (serialStats.applications ==
-                             parStats.applications &&
-                         serialStats.iterations == parStats.iterations),
-                    "serial and parallel EqSat diverged on " + name);
-            }
             {
                 // Schedule comparison.  Exhaustive control =
                 // replay/pruning AND incremental search disabled --
@@ -996,10 +925,10 @@ main(int argc, char** argv)
                     ISAMORE_CHECK_MSG(
                         !contender.checkTrajectory ||
                             stats.stopReason == StopReason::TimeLimit ||
-                            parStats.stopReason == StopReason::TimeLimit ||
-                            (stats.applications == parStats.applications &&
-                             stats.iterations == parStats.iterations &&
-                             stats.stopReason == parStats.stopReason),
+                            eqsatStats.stopReason == StopReason::TimeLimit ||
+                            (stats.applications == eqsatStats.applications &&
+                             stats.iterations == eqsatStats.iterations &&
+                             stats.stopReason == eqsatStats.stopReason),
                         "adaptive and exhaustive EqSat diverged on " +
                             name);
                 }
@@ -1382,31 +1311,6 @@ main(int argc, char** argv)
             if (reduction < minEqsatTimeReduction) {
                 std::cerr << "FAIL: below the " << minEqsatTimeReduction
                           << "x EqSat time-reduction floor\n";
-                fastEnough = false;
-            }
-        }
-        if (!fastEnough) {
-            return 1;
-        }
-    }
-    if (minEqsatSpeedup > 0.0) {
-        bool fastEnough = true;
-        for (const WorkloadReport& r : reports) {
-            const double speedup =
-                r.eqsatSerial.median() / std::max(r.eqsat.median(), 1e-6);
-            std::cerr << "eqsat " << r.name << ": serial "
-                      << r.eqsatSerial.median() << " ms, " << threads
-                      << "-thread " << r.eqsat.median() << " ms -> "
-                      << speedup << "x (search "
-                      << r.eqsatSerialSearch.median() << " -> "
-                      << r.eqsatSearch.median() << ", apply "
-                      << r.eqsatSerialApply.median() << " -> "
-                      << r.eqsatApply.median() << ", rebuild "
-                      << r.eqsatSerialRebuild.median() << " -> "
-                      << r.eqsatRebuild.median() << ")\n";
-            if (speedup < minEqsatSpeedup) {
-                std::cerr << "FAIL: below the " << minEqsatSpeedup
-                          << "x EqSat speedup floor\n";
                 fastEnough = false;
             }
         }

@@ -21,7 +21,8 @@ daemon's robustness contract:
   * thread-width identity: a slice of analyze requests pins the pool
     width ("threads": 1/2/4, interleaved in the same daemon run, cache
     off so each one actually executes); every width must reproduce the
-    same golden bytes -- the concurrent e-graph's determinism contract
+    same golden bytes -- the pipeline's thread-count determinism
+    contract (the sharded AU sweep reading a shared, serial e-graph)
     exercised through a live daemon under load;
   * read-only corpus (--corpus <path>): the chaos session serves with a
     shared warm-start corpus mounted --corpus-readonly (primed by a

@@ -340,13 +340,11 @@ runCommand(int argc, char** argv)
             if (value == nullptr) {
                 return kExitUsage;
             }
-            char* end = nullptr;
-            const unsigned long threads = std::strtoul(value, &end, 10);
-            ISAMORE_USER_CHECK(end != nullptr && *end == '\0' &&
-                                   threads >= 1,
+            const std::optional<size_t> threads = parseThreadCount(value);
+            ISAMORE_USER_CHECK(threads.has_value(),
                                std::string("bad --threads value: ") +
                                    value);
-            setGlobalThreads(static_cast<size_t>(threads));
+            setGlobalThreads(*threads);
         } else if (flag == "--trace-out") {
             const char* value = value_of(i);
             if (value == nullptr) {

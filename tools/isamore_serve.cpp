@@ -49,6 +49,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "server/serve.hpp"
@@ -161,14 +162,15 @@ main(int argc, char** argv)
             }
         } else if (flag == "--threads") {
             const char* value = nextValue();
-            size_t threads = 0;
-            if (value == nullptr || !parseCount(value, threads, false)) {
+            const std::optional<size_t> threads =
+                value == nullptr ? std::nullopt : parseThreadCount(value);
+            if (!threads) {
                 std::cerr << "isamore_serve: bad --threads value\n";
                 return kExitUsage;
             }
             // Pool sizing is process-wide and must happen before the
             // first parallelFor; the serve loop never resizes it.
-            setGlobalThreads(threads);
+            setGlobalThreads(*threads);
         } else if (flag == "--corpus") {
             const char* value = nextValue();
             if (value == nullptr || *value == '\0') {

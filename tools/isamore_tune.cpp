@@ -36,6 +36,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -170,8 +171,12 @@ main(int argc, char** argv)
         } else if (flag == "--corpus" && i + 1 < argc) {
             corpusPath = argv[++i];
         } else if (flag == "--threads" && i + 1 < argc) {
-            setGlobalThreads(static_cast<size_t>(
-                std::strtoull(argv[++i], nullptr, 10)));
+            const std::optional<size_t> threads = parseThreadCount(argv[++i]);
+            if (!threads) {
+                std::cerr << "isamore_tune: bad --threads value\n";
+                return 2;
+            }
+            setGlobalThreads(*threads);
         } else {
             std::cerr << "usage: isamore_tune [--workloads <a,b,c>] "
                          "[--reps <n>] [--threads <n>] [--out <path>] "
