@@ -18,7 +18,6 @@ namespace {
 constexpr size_t kMaxChunks = 4096;
 constexpr size_t kMaxLibrary = 4096;
 constexpr size_t kMaxResults = 256;
-constexpr size_t kMaxEGraphs = 64;
 
 /** Pool id for a null TermPtr. */
 constexpr uint32_t kNullTerm = 0xFFFFFFFFu;
@@ -92,36 +91,6 @@ readOp(ByteReader& in, const std::string& what)
                         " out of range");
     }
     return static_cast<Op>(op);
-}
-
-void
-writeENode(ByteWriter& out, const ENode& node)
-{
-    out.u16(static_cast<uint16_t>(node.op));
-    writePayload(out, node.payload);
-    out.u32(static_cast<uint32_t>(node.children.size()));
-    for (const EClassId child : node.children) {
-        out.u32(child);
-    }
-}
-
-ENode
-readENode(ByteReader& in, uint32_t numIds, const std::string& what)
-{
-    ENode node;
-    node.op = readOp(in, what);
-    node.payload = readPayload(in, what);
-    const uint32_t count = in.u32();
-    in.checkCount(count, 4);
-    node.children.reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-        const EClassId child = in.u32();
-        if (child >= numIds) {
-            throw UserError(what + ": e-node child out of range");
-        }
-        node.children.push_back(child);
-    }
-    return node;
 }
 
 // ---------------------------------------------------------------------
@@ -468,78 +437,6 @@ readCachedResult(ByteReader& in, const TermPoolReader& pool,
     return result;
 }
 
-void
-writeSnapshot(ByteWriter& out, const EGraphSnapshot& snap)
-{
-    out.u64(snap.clock);
-    out.u64(snap.version);
-    out.u32(snap.numIds);
-    for (const EClassId parent : snap.unionFind) {
-        out.u32(parent);
-    }
-    for (const uint64_t stamp : snap.stamps) {
-        out.u64(stamp);
-    }
-    out.u32(static_cast<uint32_t>(snap.classes.size()));
-    for (const EGraphSnapshot::ClassImage& image : snap.classes) {
-        out.u32(image.id);
-        out.u32(static_cast<uint32_t>(image.nodes.size()));
-        for (const ENode& node : image.nodes) {
-            writeENode(out, node);
-        }
-        out.u32(static_cast<uint32_t>(image.parents.size()));
-        for (const auto& [pnode, pclass] : image.parents) {
-            writeENode(out, pnode);
-            out.u32(pclass);
-        }
-    }
-}
-
-EGraphSnapshot
-readSnapshot(ByteReader& in, const std::string& what)
-{
-    EGraphSnapshot snap;
-    snap.clock = in.u64();
-    snap.version = in.u64();
-    snap.numIds = in.u32();
-    in.checkCount(snap.numIds, 4 + 8 * EGraph::kStampDepths);
-    snap.unionFind.reserve(snap.numIds);
-    for (uint32_t i = 0; i < snap.numIds; ++i) {
-        snap.unionFind.push_back(in.u32());
-    }
-    snap.stamps.reserve(static_cast<size_t>(snap.numIds) *
-                        EGraph::kStampDepths);
-    for (size_t i = 0;
-         i < static_cast<size_t>(snap.numIds) * EGraph::kStampDepths; ++i) {
-        snap.stamps.push_back(in.u64());
-    }
-    const uint32_t classes = in.u32();
-    in.checkCount(classes, 12);
-    snap.classes.reserve(classes);
-    for (uint32_t c = 0; c < classes; ++c) {
-        EGraphSnapshot::ClassImage image;
-        image.id = in.u32();
-        const uint32_t nodes = in.u32();
-        in.checkCount(nodes, 7);
-        image.nodes.reserve(nodes);
-        for (uint32_t i = 0; i < nodes; ++i) {
-            image.nodes.push_back(readENode(in, snap.numIds, what));
-        }
-        const uint32_t parents = in.u32();
-        in.checkCount(parents, 11);
-        image.parents.reserve(parents);
-        for (uint32_t i = 0; i < parents; ++i) {
-            ENode node = readENode(in, snap.numIds, what);
-            const EClassId pclass = in.u32();
-            image.parents.emplace_back(std::move(node), pclass);
-        }
-        snap.classes.push_back(std::move(image));
-    }
-    // Structural consistency (canonical ids, child ranges) is enforced a
-    // second time by EGraph::restoreSnapshot before any graph mutates.
-    return snap;
-}
-
 uint64_t
 hashEqSatLimits(const EqSatLimits& limits)
 {
@@ -550,7 +447,6 @@ hashEqSatLimits(const EqSatLimits& limits)
     h = hashCombine(h, limits.maxMatchesPerRule);
     h = hashCombine(h, limits.useBackoff ? 1 : 0);
     h = hashCombine(h, limits.incrementalSearch ? 1 : 0);
-    h = hashCombine(h, stringHash(limits.strategy.encode()));
     return h;
 }
 
@@ -695,33 +591,15 @@ Corpus::load(const std::string& path, const rules::RulesetLibrary& rules)
 
     // Parse everything into locals; state swaps in only after the whole
     // file validated (the no-partial-loads contract).
-    std::map<std::string, Strategy> strategies;
     std::vector<LibraryEntry> library;
     std::unordered_map<const Term*, size_t> libraryIndex;
     std::unordered_map<uint64_t, std::unique_ptr<rii::AuCachedChunk>>
         chunks;
     std::map<std::string, std::unique_ptr<CachedResult>> results;
-    std::map<std::string, EGraphSnapshot> egraphs;
 
     for (const auto& [tag, payload] : sections) {
         ByteReader in(payload, what.c_str());
         switch (tag) {
-          case SectionTag::Strategies: {
-            const uint32_t count = in.u32();
-            in.checkCount(count, 8);
-            for (uint32_t i = 0; i < count; ++i) {
-                std::string workload = in.str();
-                const std::string text = in.str();
-                std::string parseError;
-                auto strategy = parseStrategy(text, parseError);
-                if (!strategy.has_value()) {
-                    throw UserError(what + ": corrupt strategy for \"" +
-                                    workload + "\": " + parseError);
-                }
-                strategies[std::move(workload)] = std::move(*strategy);
-            }
-            break;
-          }
           case SectionTag::Library: {
             const TermPoolReader pool =
                 TermPoolReader::deserialize(in, what);
@@ -797,19 +675,6 @@ Corpus::load(const std::string& path, const rules::RulesetLibrary& rules)
             }
             break;
           }
-          case SectionTag::EGraphs: {
-            const uint32_t count = in.u32();
-            in.checkCount(count, 24);
-            for (uint32_t i = 0; i < count; ++i) {
-                std::string name = in.str();
-                EGraphSnapshot snap = readSnapshot(in, what);
-                if (!egraphs.emplace(std::move(name), std::move(snap))
-                         .second) {
-                    throw UserError(what + ": duplicate e-graph name");
-                }
-            }
-            break;
-          }
           default:
             throw UserError(what + ": unknown section tag " +
                             std::to_string(static_cast<uint32_t>(tag)));
@@ -818,12 +683,10 @@ Corpus::load(const std::string& path, const rules::RulesetLibrary& rules)
     }
 
     std::lock_guard<std::mutex> lock(mutex_);
-    strategies_ = std::move(strategies);
     library_ = std::move(library);
     libraryIndex_ = std::move(libraryIndex);
     chunks_ = std::move(chunks);
     results_ = std::move(results);
-    egraphs_ = std::move(egraphs);
     dirty_ = false;
 }
 
@@ -832,15 +695,6 @@ Corpus::serializeLocked(const rules::RulesetLibrary& rules) const
 {
     std::vector<std::pair<SectionTag, std::string>> sections;
 
-    {
-        ByteWriter out;
-        out.u32(static_cast<uint32_t>(strategies_.size()));
-        for (const auto& [workload, strategy] : strategies_) {
-            out.str(workload);
-            out.str(strategy.encode());
-        }
-        sections.emplace_back(SectionTag::Strategies, out.take());
-    }
     {
         TermPoolWriter pool;
         ByteWriter body;
@@ -900,16 +754,6 @@ Corpus::serializeLocked(const rules::RulesetLibrary& rules) const
         out.bytes(body.take());
         sections.emplace_back(SectionTag::Results, out.take());
     }
-    {
-        ByteWriter out;
-        out.u32(static_cast<uint32_t>(egraphs_.size()));
-        for (const auto& [name, snap] : egraphs_) {
-            out.str(name);
-            writeSnapshot(out, snap);
-        }
-        sections.emplace_back(SectionTag::EGraphs, out.take());
-    }
-
     return frameFile(rulesFingerprint(rules), opSchemaFingerprint(),
                      sections);
 }
@@ -931,39 +775,6 @@ Corpus::dirty() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return dirty_;
-}
-
-std::optional<Strategy>
-Corpus::strategyFor(const std::string& workload) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = strategies_.find(workload);
-    if (it == strategies_.end()) {
-        it = strategies_.find("global");
-    }
-    if (it == strategies_.end()) {
-        return std::nullopt;
-    }
-    return it->second;
-}
-
-void
-Corpus::recordStrategy(const std::string& workload, const Strategy& s)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = strategies_.find(workload);
-    if (it != strategies_.end() && it->second == s) {
-        return;
-    }
-    strategies_[workload] = s;
-    dirty_ = true;
-}
-
-size_t
-Corpus::strategyCount() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return strategies_.size();
 }
 
 size_t
@@ -1074,32 +885,6 @@ Corpus::resultCount() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return results_.size();
-}
-
-void
-Corpus::storeEGraph(const std::string& name, EGraphSnapshot snapshot)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (egraphs_.size() >= kMaxEGraphs && egraphs_.count(name) == 0) {
-        return;
-    }
-    egraphs_[name] = std::move(snapshot);
-    dirty_ = true;
-}
-
-const EGraphSnapshot*
-Corpus::findEGraph(const std::string& name) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = egraphs_.find(name);
-    return it == egraphs_.end() ? nullptr : &it->second;
-}
-
-size_t
-Corpus::egraphCount() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return egraphs_.size();
 }
 
 size_t

@@ -14,11 +14,7 @@
  *    isomorphic;
  *  - **full analysis results** keyed by (workload, program, mode, rules,
  *    config) fingerprints, so an unchanged request skips the pipeline
- *    entirely;
- *  - **per-workload tuned EqSat strategies** (the data previously
- *    stranded in bench/fig10.tuned), with a "global" fallback entry;
- *  - **named e-graph snapshots** (EGraphSnapshot round-trips, used by
- *    the differential tests and available to tooling).
+ *    entirely.
  *
  * Determinism contract: a warm run that hits the corpus produces output
  * byte-identical to the cold run it replaces (modulo the "seconds"
@@ -43,13 +39,11 @@
 #include <map>
 #include <mutex>
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "corpus/format.hpp"
-#include "egraph/strategy.hpp"
 #include "isamore/isamore.hpp"
 #include "rii/au.hpp"
 #include "rii/rii.hpp"
@@ -142,19 +136,6 @@ class Corpus final : public rii::AuChunkCache {
 
     /** @} */
 
-    /** @name Tuned strategies
-     *  @{ */
-
-    /** Strategy recorded for @p workload, falling back to "global". */
-    std::optional<Strategy> strategyFor(const std::string& workload) const;
-
-    /** Record the tuned strategy for @p workload ("global" = fallback). */
-    void recordStrategy(const std::string& workload, const Strategy& s);
-
-    size_t strategyCount() const;
-
-    /** @} */
-
     /** @name Pattern library
      *  @{ */
 
@@ -201,15 +182,6 @@ class Corpus final : public rii::AuChunkCache {
 
     /** @} */
 
-    /** @name Named e-graph snapshots
-     *  @{ */
-
-    void storeEGraph(const std::string& name, EGraphSnapshot snapshot);
-    const EGraphSnapshot* findEGraph(const std::string& name) const;
-    size_t egraphCount() const;
-
-    /** @} */
-
     /**
      * Distinct interned term nodes reachable from corpus-held patterns
      * -- the nodes the corpus's strong references pin across
@@ -222,7 +194,6 @@ class Corpus final : public rii::AuChunkCache {
 
     mutable std::mutex mutex_;
     bool dirty_ = false;
-    std::map<std::string, Strategy> strategies_;
     std::vector<LibraryEntry> library_;
     /** Interned canonical body -> library_ index. */
     std::unordered_map<const Term*, size_t> libraryIndex_;
@@ -230,7 +201,6 @@ class Corpus final : public rii::AuChunkCache {
     std::unordered_map<uint64_t, std::unique_ptr<rii::AuCachedChunk>>
         chunks_;
     std::map<std::string, std::unique_ptr<CachedResult>> results_;
-    std::map<std::string, EGraphSnapshot> egraphs_;
 };
 
 /**

@@ -33,15 +33,13 @@ namespace corpus {
 inline constexpr char kMagic[8] = {'I', 'S', 'A', 'M', 'C', 'R', 'P', '\n'};
 
 /** Bumped on any incompatible layout change; old files are refused. */
-inline constexpr uint32_t kFormatVersion = 1;
+inline constexpr uint32_t kFormatVersion = 2;
 
-/** Section tags (u32, stable). */
+/** Section tags (u32, stable; 1 and 5 belonged to format-1 sections). */
 enum class SectionTag : uint32_t {
-    Strategies = 1,  ///< per-workload-class tuned EqSat strategies
-    Library = 2,     ///< accumulated cross-workload pattern library
-    AuChunks = 3,    ///< AU sweep chunk memo keyed by trace signature
-    Results = 4,     ///< full analysis results keyed by analysis key
-    EGraphs = 5,     ///< named e-graph snapshots
+    Library = 2,   ///< accumulated cross-workload pattern library
+    AuChunks = 3,  ///< AU sweep chunk memo keyed by trace signature
+    Results = 4,   ///< full analysis results keyed by analysis key
 };
 
 /** FNV-1a 64-bit over a byte range. */

@@ -48,7 +48,6 @@ EGraph::EGraph(const EGraph& other)
       dirtySeeds_(other.dirtySeeds_),
       classIdsCache_(other.classIdsCache_),
       opIndex_(other.opIndex_),
-      opStampCache_(other.opStampCache_),
       cachesStale_(other.cachesStale_)
 {
     classes_.reserve(other.classes_.size());
@@ -119,7 +118,7 @@ EGraph::add(ENode node)
     }
     const auto id = static_cast<EClassId>(parent_.size());
     parent_.push_back(id);
-    stamps_.emplace_back().fill(++clock_);
+    stamps_.push_back(++clock_);
     for (const EClassId child : node.children) {
         classes_[child]->parents.emplace_back(node, id);
     }
@@ -171,7 +170,7 @@ EGraph::merge(EClassId a, EClassId b)
     worklist_.push_back(a);
     dirtySeeds_.push_back(a);
     ++version_;
-    stamps_[a].fill(++clock_);
+    stamps_[a] = ++clock_;
     cachesStale_ = true;
     return true;
 }
@@ -272,9 +271,8 @@ EGraph::rebuild()
         // Repair every dirty class against this round's union-find; the
         // congruences found are applied only once all repairs are done.
         // A repair that collapsed duplicate nodes changed the class's own
-        // node list -- match-visible at distance 0, exactly like a merge
-        // append -- so it seeds the dirty propagation at depth 0 (merges
-        // seed themselves in merge()).
+        // node list -- match-visible exactly like a merge append -- so it
+        // seeds the dirty propagation (merges seed themselves in merge()).
         std::vector<std::pair<EClassId, EClassId>> pending;
         for (const EClassId id : classes) {
             if (repair(id, pending)) {
@@ -328,42 +326,24 @@ EGraph::propagateDirty()
     // Parent entries of untouched classes may hold stale ids; findMutable
     // resolves them (a superset of true ancestors is harmless: stamping a
     // class conservatively only costs a redundant re-match).
-    //
-    // Propagation is a layered BFS so every class learns its *distance*
-    // from the nearest change: a class first reached at distance d gets
-    // stamp buckets [min(d, last)..last] bumped, leaving the shallower
-    // buckets untouched -- a pattern that reads only r levels deep can
-    // then skip a class whose nearest change sits more than r edges
-    // below it, even though the unbounded bucket is dirty.  Multi-source
-    // BFS visits each class at its minimal distance first, which is
-    // exactly the bucket boundary the skip proof needs.
     const uint64_t now = ++clock_;
-    std::vector<EClassId> frontier;
-    std::vector<EClassId> next;
-    frontier.reserve(dirtySeeds_.size());
-    auto visit = [&](EClassId c, size_t dist, std::vector<EClassId>& out) {
-        Stamps& stamps = stamps_[c];
-        if (stamps[kStampDepths - 1] == now) {
-            return;  // already reached at a smaller or equal distance
+    std::vector<EClassId> work;
+    auto visit = [&](EClassId c) {
+        if (stamps_[c] != now) {
+            stamps_[c] = now;
+            work.push_back(c);
         }
-        for (size_t j = std::min(dist, kStampDepths - 1); j < kStampDepths;
-             ++j) {
-            stamps[j] = now;
-        }
-        out.push_back(c);
     };
     for (EClassId seed : dirtySeeds_) {
-        visit(findMutable(seed), 0, frontier);
+        visit(findMutable(seed));
     }
     dirtySeeds_.clear();
-    for (size_t dist = 1; !frontier.empty(); ++dist) {
-        next.clear();
-        for (EClassId c : frontier) {
-            for (const auto& [pnode, pclass] : classes_[c]->parents) {
-                visit(findMutable(pclass), dist, next);
-            }
+    while (!work.empty()) {
+        const EClassId c = work.back();
+        work.pop_back();
+        for (const auto& [pnode, pclass] : classes_[c]->parents) {
+            visit(findMutable(pclass));
         }
-        frontier.swap(next);
     }
 }
 
@@ -395,27 +375,17 @@ EGraph::refreshCaches() const
     }
 
     opIndex_.assign(kNumOps, {});
-    opStampCache_.assign(kNumOps * kStampDepths, 0);
     for (EClassId id : classIdsCache_) {
         // Emit each (op, class) pair once even when a class holds several
         // nodes with the same root op; ids come out ascending because the
-        // outer walk is ascending.  The per-(op, depth) stamp watermarks
-        // ride the same walk: stamps are final here (rebuild() propagates
-        // them before refreshing), so the max over emitted classes is
-        // exact.
+        // outer walk is ascending.
         uint64_t emitted = 0;  // bitset over ops (kNumOps < 64)
         static_assert(kNumOps <= 64);
-        const Stamps& stamps = stamps_[id];
         for (const ENode& node : classes_[id]->nodes) {
             const uint64_t bit = uint64_t{1} << static_cast<size_t>(node.op);
             if ((emitted & bit) == 0) {
                 emitted |= bit;
-                const size_t op = static_cast<size_t>(node.op);
-                opIndex_[op].push_back(id);
-                uint64_t* marks = &opStampCache_[op * kStampDepths];
-                for (size_t j = 0; j < kStampDepths; ++j) {
-                    marks[j] = std::max(marks[j], stamps[j]);
-                }
+                opIndex_[static_cast<size_t>(node.op)].push_back(id);
             }
         }
     }
@@ -441,25 +411,9 @@ EGraph::classesWithOp(Op op) const
 }
 
 uint64_t
-EGraph::maxStampWithOp(Op op, size_t depth) const
-{
-    if (cachesStale_) {
-        refreshCaches();
-    }
-    return opStampCache_[static_cast<size_t>(op) * kStampDepths +
-                         std::min(depth, kStampDepths - 1)];
-}
-
-uint64_t
 EGraph::classStamp(EClassId id) const
 {
-    return stamps_[id][kStampDepths - 1];
-}
-
-uint64_t
-EGraph::classStampAtDepth(EClassId id, size_t depth) const
-{
-    return stamps_[id][std::min(depth, kStampDepths - 1)];
+    return stamps_[id];
 }
 
 std::vector<EClassId>
@@ -485,12 +439,10 @@ EGraph::exportSnapshot() const
     const auto ids = static_cast<uint32_t>(parent_.size());
     snap.numIds = ids;
     snap.unionFind.reserve(ids);
-    snap.stamps.reserve(static_cast<size_t>(ids) * kStampDepths);
     for (EClassId id = 0; id < ids; ++id) {
         snap.unionFind.push_back(find(id));
-        snap.stamps.insert(snap.stamps.end(), stamps_[id].begin(),
-                           stamps_[id].end());
     }
+    snap.stamps = stamps_;
     for (EClassId id = 0; id < ids; ++id) {
         if (classes_[id] == nullptr) {
             continue;
@@ -502,78 +454,6 @@ EGraph::exportSnapshot() const
         snap.classes.push_back(std::move(image));
     }
     return snap;
-}
-
-void
-EGraph::restoreSnapshot(const EGraphSnapshot& snapshot)
-{
-    // Validate the whole image before touching any state, so a rejected
-    // snapshot leaves this graph exactly as it was.
-    const uint32_t ids = snapshot.numIds;
-    ISAMORE_USER_CHECK(
-        snapshot.unionFind.size() == ids,
-        "e-graph snapshot: union-find entry count does not match numIds");
-    ISAMORE_USER_CHECK(
-        snapshot.stamps.size() == static_cast<size_t>(ids) * kStampDepths,
-        "e-graph snapshot: stamp count does not match numIds");
-    for (uint32_t id = 0; id < ids; ++id) {
-        ISAMORE_USER_CHECK(snapshot.unionFind[id] < ids,
-                           "e-graph snapshot: union-find link out of range");
-    }
-    const auto checkNode = [&](const ENode& node) {
-        for (const EClassId child : node.children) {
-            ISAMORE_USER_CHECK(child < ids,
-                               "e-graph snapshot: node child out of range");
-        }
-    };
-    EClassId lastId = 0;
-    bool first = true;
-    for (const EGraphSnapshot::ClassImage& image : snapshot.classes) {
-        ISAMORE_USER_CHECK(image.id < ids,
-                           "e-graph snapshot: class id out of range");
-        ISAMORE_USER_CHECK(
-            first || image.id > lastId,
-            "e-graph snapshot: class images out of order or duplicated");
-        first = false;
-        lastId = image.id;
-        ISAMORE_USER_CHECK(
-            snapshot.unionFind[image.id] == image.id,
-            "e-graph snapshot: class image for a non-canonical id");
-        for (const ENode& node : image.nodes) {
-            checkNode(node);
-        }
-        for (const auto& [pnode, pclass] : image.parents) {
-            checkNode(pnode);
-            ISAMORE_USER_CHECK(
-                pclass < ids,
-                "e-graph snapshot: parent class out of range");
-        }
-    }
-
-    EGraph restored;
-    restored.parent_ = snapshot.unionFind;
-    restored.stamps_.resize(ids);
-    for (EClassId id = 0; id < ids; ++id) {
-        for (size_t j = 0; j < kStampDepths; ++j) {
-            restored.stamps_[id][j] =
-                snapshot.stamps[static_cast<size_t>(id) * kStampDepths + j];
-        }
-    }
-    restored.classes_.resize(ids);
-    for (const EGraphSnapshot::ClassImage& image : snapshot.classes) {
-        auto data = std::make_unique<EClass>();
-        data->nodes = image.nodes;
-        data->parents = image.parents;
-        for (const ENode& node : data->nodes) {
-            restored.memo_.emplace(node, image.id);
-        }
-        ++restored.classCount_;
-        restored.nodeCount_ += data->nodes.size();
-        restored.classes_[image.id] = std::move(data);
-    }
-    restored.version_ = snapshot.version;
-    restored.clock_ = snapshot.clock;
-    *this = std::move(restored);
 }
 
 }  // namespace isamore

@@ -9,9 +9,9 @@
  * (the deferred-rebuilding design from egg).
  *
  * Threading: the graph is a plain single-threaded structure (DESIGN.md
- * "Serial e-graph").  Mutation (add(), merge(), rebuild(),
- * restoreSnapshot()) is serial.  Once rebuild() returns, the graph may be
- * *read* from several threads at once -- find(), lookup(), cls(),
+ * "Serial e-graph").  Mutation (add(), merge(), rebuild()) is serial.
+ * Once rebuild() returns, the graph may be *read* from several threads
+ * at once -- find(), lookup(), cls(),
  * classIds(), classesWithOp() and the stamp queries never write, because
  * find() is a non-mutating walk and rebuild() compresses every path and
  * refreshes the read caches eagerly.  The AU sweep's pool lanes and the
@@ -23,7 +23,6 @@
  */
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -84,13 +83,12 @@ struct EClass {
 };
 
 /**
- * Flat, pointer-free image of a rebuilt e-graph, suitable for binary
- * serialization (see corpus/).  Captures everything later graph
- * operations can observe: the union-find resolution of every id ever
- * allocated, the per-id dirty stamps, the modification clocks, and each
- * canonical class's node and parent lists *in storage order* -- repair
- * and merge tie-breaking read those orders, so preserving them verbatim
- * is what makes a restored graph behave byte-identically.
+ * Flat, pointer-free image of a rebuilt e-graph.  Captures everything
+ * later graph operations can observe: the union-find resolution of every
+ * id ever allocated, the per-id dirty stamps, the modification clocks,
+ * and each canonical class's node and parent lists *in storage order* --
+ * repair and merge tie-breaking read those orders, so two graphs with
+ * equal images behave identically from then on.
  */
 struct EGraphSnapshot {
     uint64_t clock = 0;    ///< matchClock() at export
@@ -98,7 +96,7 @@ struct EGraphSnapshot {
     uint32_t numIds = 0;   ///< total ids ever allocated
     /** Per id: its canonical root (self for canonical ids). */
     std::vector<EClassId> unionFind;
-    /** Per id: EGraph::kStampDepths stamp buckets, flattened. */
+    /** Per id: its dirty stamp (EGraph::classStamp). */
     std::vector<uint64_t> stamps;
     /** One canonical class's storage, verbatim. */
     struct ClassImage {
@@ -231,29 +229,11 @@ class EGraph {
     uint64_t matchClock() const { return clock_; }
 
     /**
-     * Number of dirty-stamp distance buckets.  Bucket @c j < kStampDepths-1
-     * covers changes within @c j parent-edges below a class; the last
-     * bucket covers the whole reachable sub-DAG (the classic unbounded
-     * stamp).  A pattern that reads class data @c r levels deep only
-     * needs bucket min(r, kStampDepths-1) -- a change far below a class
-     * cannot alter the matches of a shallow pattern rooted there.
-     */
-    static constexpr size_t kStampDepths = 4;
-
-    /**
      * Last-modification stamp of class @p id, upward-propagated: covers
      * changes anywhere in the class's reachable sub-DAG as of the last
      * rebuild().  @pre @p id is canonical.
      */
     uint64_t classStamp(EClassId id) const;
-
-    /**
-     * Depth-bounded stamp of class @p id: covers changes within
-     * @p depth parent-edges below the class (clamped to the last,
-     * unbounded bucket).  classStampAtDepth(id, kStampDepths-1) ==
-     * classStamp(id).  @pre @p id is canonical.
-     */
-    uint64_t classStampAtDepth(EClassId id, size_t depth) const;
 
     /**
      * Canonical ids (ascending) whose stamp exceeds @p version.  A class
@@ -263,56 +243,21 @@ class EGraph {
      */
     std::vector<EClassId> classesDirtySince(uint64_t version) const;
 
-    /**
-     * Maximum classStampAtDepth(id, @p depth) over classesWithOp(@p op)
-     * -- the op's dirty watermark at that read depth.  O(1): maintained
-     * alongside the op index, so a scheduler can ask "was any candidate
-     * of this root op touched, as far as a depth-d pattern can see,
-     * since clock c?" without re-walking the candidate list every
-     * iteration.  Returns 0 when no class carries the op.  Same caching
-     * contract as classIds().
-     */
-    uint64_t maxStampWithOp(Op op, size_t depth) const;
-
     /** @} */
 
-    /** @name Snapshots (persistent corpus)
-     *  @{ */
-
     /**
-     * Export a complete image of the graph.  @pre the graph is rebuilt
-     * (!needsRebuild()).  Restoring the image into a fresh
-     * graph reproduces one that is observationally identical: same class
-     * ids, union-find resolution, stamps, clocks, and node/parent list
-     * orders, so any later sequence of operations behaves exactly as it
-     * would on the original.
+     * Export a complete image of the graph (ids, union-find, stamps,
+     * clocks, node/parent list orders), for tests that pin EqSat output.
+     * @pre the graph is rebuilt (!needsRebuild()).
      */
     EGraphSnapshot exportSnapshot() const;
 
-    /**
-     * Replace this graph's entire state with @p snapshot, rebuilding the
-     * hashcons from the canonical class node lists.
-     * @throws UserError when the image is internally inconsistent (out of
-     * range ids, a non-canonical class image, size mismatches); the image
-     * is validated before any teardown, so a rejected snapshot leaves
-     * the graph unchanged.
-     */
-    void restoreSnapshot(const EGraphSnapshot& snapshot);
-
-    /** @} */
-
  private:
-    /** Stamp buckets of one id: stamps[j] is the latest clock at which
-     *  anything within j parent-edges below the class (the class itself
-     *  at j == 0) changed; the last bucket is unbounded.  Monotone in j
-     *  by construction. */
-    using Stamps = std::array<uint64_t, kStampDepths>;
-
     /**
      * Repair one dirty class against the current union-find: re-key its
      * parents in the hashcons, dedup its parents and own nodes, and
      * append the congruent pairs it finds to @p unions (discovery order).
-     * @return whether own nodes collapsed (a depth-0 change).
+     * @return whether own nodes collapsed (a match-visible change).
      */
     bool repair(EClassId id,
                 std::vector<std::pair<EClassId, EClassId>>& unions);
@@ -326,11 +271,11 @@ class EGraph {
     void compressPaths();
 
     std::unordered_map<ENode, EClassId, ENodeHash> memo_;  // hashcons
-    // Per id, indexed by EClassId: union-find link, stamp buckets, and
+    // Per id, indexed by EClassId: union-find link, dirty stamp, and
     // class storage (null once the class lost a merge).  Storage sits
     // behind a pointer so cls() references survive later add() calls.
     std::vector<EClassId> parent_;
-    std::vector<Stamps> stamps_;
+    std::vector<uint64_t> stamps_;
     std::vector<std::unique_ptr<EClass>> classes_;
 
     size_t classCount_ = 0;
@@ -346,8 +291,6 @@ class EGraph {
     // eagerly, which keeps concurrent readers refresh-free.
     mutable std::vector<EClassId> classIdsCache_;
     mutable std::vector<std::vector<EClassId>> opIndex_;  // by Op value
-    /** Max stamp per (op, depth bucket), flat [op * kStampDepths + j]. */
-    mutable std::vector<uint64_t> opStampCache_;
     mutable bool cachesStale_ = true;
 };
 

@@ -11,12 +11,12 @@ PatternProgram::compile(const TermPtr& pattern)
 {
     PatternProgram program;
     program.rootOp_ = pattern->op;
-    program.compileNode(pattern, 0, 0);
+    program.compileNode(pattern, 0);
     return program;
 }
 
 void
-PatternProgram::compileNode(const TermPtr& node, uint16_t reg, size_t depth)
+PatternProgram::compileNode(const TermPtr& node, uint16_t reg)
 {
     if (node->op == Op::Hole) {
         const int64_t holeId = node->payload.a;
@@ -32,13 +32,6 @@ PatternProgram::compileNode(const TermPtr& node, uint16_t reg, size_t depth)
             insn.kind = Kind::BindHole;
         } else {
             insn.kind = Kind::Compare;
-            // A merge of the two bound classes (each at this hole's
-            // distance or shallower) can flip this equality test and
-            // change the match *count*, so the pattern reads one level
-            // past its deepest Bind here.  BindHole alone needs no such
-            // widening: a renamed capture changes only the subst values
-            // of matches the skip path never re-emits.
-            readDepth_ = std::max(readDepth_, depth);
         }
         insns_.push_back(insn);
         return;
@@ -53,10 +46,9 @@ PatternProgram::compileNode(const TermPtr& node, uint16_t reg, size_t depth)
     insn.outBase = numRegs_;
     numRegs_ = static_cast<uint16_t>(numRegs_ + insn.arity);
     insns_.push_back(insn);
-    readDepth_ = std::max(readDepth_, depth);  // Bind reads class data
     for (size_t i = 0; i < node->children.size(); ++i) {
         compileNode(node->children[i],
-                    static_cast<uint16_t>(insn.outBase + i), depth + 1);
+                    static_cast<uint16_t>(insn.outBase + i));
     }
 }
 
@@ -198,19 +190,13 @@ searchPattern(const EGraph& egraph, const PatternProgram& program,
                 state->counts[cursor].first == id) {
                 cachedCount = state->counts[cursor].second;
             }
-            // A class cached at zero matches is skippable when it is
-            // clean as deep as the pattern reads: the search would emit
-            // nothing and the engine apply nothing, so the skip is
-            // invisible.  A nonzero cache needs the whole cone
-            // untouched — the reference engine re-applies those
-            // matches, and a re-instantiation reads arbitrarily deep
-            // (through the RHS instance already merged into this
-            // class), so movement anywhere below can turn the re-apply
-            // into a real merge the skip would lose.
-            skip = cachedCount == 0
-                       ? egraph.classStampAtDepth(
-                             id, program.readDepth()) <= state->clock
-                       : egraph.classStamp(id) <= state->clock;
+            // Skippable only when nothing in the class's whole cone moved:
+            // the reference engine re-applies cached matches, and a
+            // re-instantiation reads arbitrarily deep (through the RHS
+            // instance already merged into this class), so movement
+            // anywhere below can turn the re-apply into a real merge the
+            // skip would lose.
+            skip = egraph.classStamp(id) <= state->clock;
         }
         if (skip) {
             // Untouched since the last complete search: its matches are

@@ -54,18 +54,6 @@ class PatternProgram {
     bool rootIsHole() const { return rootOp_ == Op::Hole; }
 
     /**
-     * How many levels of class data below a candidate root the program
-     * reads: the deepest Bind instruction's distance from the root (a
-     * bare hole reads none), widened by one at every repeated hole —
-     * a Compare makes class *equality* at the hole's own depth
-     * match-count-visible.  The incremental driver pairs this with the
-     * e-graph's depth-bucketed dirty stamps: a change strictly deeper
-     * than readDepth() below a class cannot change the program's match
-     * count there.
-     */
-    size_t readDepth() const { return readDepth_; }
-
-    /**
      * Enumerate matches rooted at @p root, appending at most
      * @p maxMatches substitutions to @p out.  @p scratch is caller-owned
      * so repeated calls reuse its buffers (no per-frame allocation).
@@ -87,13 +75,12 @@ class PatternProgram {
         Payload payload;       // Bind only
     };
 
-    void compileNode(const TermPtr& node, uint16_t reg, size_t depth);
+    void compileNode(const TermPtr& node, uint16_t reg);
 
     std::vector<Insn> insns_;
     std::vector<int64_t> slotHoleIds_;  // slot index -> hole id
     uint16_t numRegs_ = 1;
     Op rootOp_ = Op::Hole;
-    size_t readDepth_ = 0;
 };
 
 /**

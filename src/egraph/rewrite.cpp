@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "egraph/ematch_program.hpp"
-#include "egraph/scheduler.hpp"
 #include "support/check.hpp"
 #include "support/fault.hpp"
 #include "support/stopwatch.hpp"
@@ -75,23 +74,6 @@ recordIteration(uint64_t runId, size_t iter, const EGraph& egraph,
     }
     rec << "]}";
     telemetry::Registry::instance().appendRecord("eqsat.iterations",
-                                                 rec.str());
-}
-
-/** One scheduler-activity record per iteration; cold path only, and —
- *  like eqsat.rebuild spans — never part of deterministic output. */
-void
-recordSchedule(uint64_t runId, size_t iter,
-               const Scheduler::IterationPlan& plan)
-{
-    std::ostringstream rec;
-    rec << "{\"run\": " << runId << ", \"iter\": " << iter
-        << ", \"phase\": " << plan.phase
-        << ", \"active\": " << plan.active
-        << ", \"replayed\": " << plan.replayed
-        << ", \"pruned\": " << plan.pruned
-        << ", \"rearmed\": " << plan.rearmed << "}";
-    telemetry::Registry::instance().appendRecord("eqsat.schedule",
                                                  rec.str());
 }
 
@@ -171,26 +153,11 @@ runEqSat(EGraph& egraph, const std::vector<RewriteRule>& rules,
     }
     std::vector<IncrementalSearchState> searchStates(rules.size());
 
-    // The scheduler decides, per iteration, which rules search for real,
-    // which provably-unchanged searches are replayed from their cached
-    // totals, and (for phased strategies) which rules sit the phase out.
-    Scheduler scheduler(limits.strategy, rules, programs, limits);
-    size_t last_phase = SIZE_MAX;
-
-    for (size_t iter = 0; iter < scheduler.maxIterations(); ++iter) {
+    for (size_t iter = 0; iter < limits.maxIterations; ++iter) {
         TELEM_SPAN_ARGS("eqsat.iter", "eqsat",
                         "\"iter\": " + std::to_string(iter));
         stats.iterations = iter + 1;
         size_t skipped_this_iter = 0;
-        const Scheduler::IterationPlan& sched =
-            scheduler.plan(egraph, searchStates);
-        stats.searchesReplayed += sched.replayed;
-        stats.searchesPruned += sched.pruned;
-        stats.rulesRearmed += sched.rearmed;
-        if (sched.phase != last_phase) {
-            last_phase = sched.phase;
-            ++stats.phasesRun;
-        }
         // This iteration's per-rule activity; folded into stats.perRule
         // after the rebuild.  Always-on: the counts are deterministic and
         // feed the pipeline report, not just telemetry.
@@ -217,50 +184,28 @@ runEqSat(EGraph& egraph, const std::vector<RewriteRule>& rules,
         struct RuleSearch {
             size_t ruleIndex = 0;
             size_t cap = 0;
-            bool replay = false;  ///< synthesized from the cached total
             SearchResult result;
             std::exception_ptr error;
         };
         std::vector<RuleSearch> searches;
         searches.reserve(rules.size());
-        for (size_t r = 0; r < rules.size(); ++r) {
-            if (sched.actions[r] == Scheduler::Action::Deselect) {
-                continue;  // outside the current strategy phase
-            }
-            if (sched.useBackoff && iter < backoff[r].bannedUntil) {
-                any_banned = true;
-                continue;
-            }
-            // With backoff, the per-rule cap doubles with every ban (as
-            // in egg), so a once-explosive rule eventually fits its
-            // budget and resumes; search one past the cap to detect
-            // overflow.
-            RuleSearch search;
-            search.ruleIndex = r;
-            search.cap = sched.useBackoff
-                             ? sched.matchCap << backoff[r].timesBanned
-                             : sched.matchCap;
-            if (sched.actions[r] == Scheduler::Action::Replay) {
-                // The scheduler proved this search returns no fresh
-                // matches: synthesize exactly the result an incremental
-                // search over all-clean candidates would produce.  The
-                // entry stays in the list so the consume loop's fault
-                // polls, totals, and virtual-apply accounting are those
-                // of a run that searched.
-                search.replay = true;
-                search.result.totalCount = sched.replayTotals[r];
-                search.result.cachedAfter = sched.replayTotals[r];
-            }
-            searches.push_back(std::move(search));
-        }
-
         {
             TELEM_SPAN("eqsat.search", "eqsat");
-            for (RuleSearch& search : searches) {
-                if (search.replay) {
+            for (size_t r = 0; r < rules.size(); ++r) {
+                if (limits.useBackoff && iter < backoff[r].bannedUntil) {
+                    any_banned = true;
                     continue;
                 }
-                const size_t r = search.ruleIndex;
+                // With backoff, the per-rule cap doubles with every ban
+                // (as in egg), so a once-explosive rule eventually fits
+                // its budget and resumes; search one past the cap to
+                // detect overflow.
+                RuleSearch search;
+                search.ruleIndex = r;
+                search.cap =
+                    limits.useBackoff
+                        ? limits.maxMatchesPerRule << backoff[r].timesBanned
+                        : limits.maxMatchesPerRule;
                 IncrementalSearchState* state =
                     (limits.incrementalSearch && !rules[r].guard)
                         ? &searchStates[r]
@@ -268,11 +213,12 @@ runEqSat(EGraph& egraph, const std::vector<RewriteRule>& rules,
                 try {
                     search.result = searchPattern(
                         egraph, programs[r],
-                        sched.useBackoff ? search.cap + 1 : search.cap,
+                        limits.useBackoff ? search.cap + 1 : search.cap,
                         state);
                 } catch (...) {
                     search.error = std::current_exception();
                 }
+                searches.push_back(std::move(search));
             }
         }
 
@@ -295,7 +241,7 @@ runEqSat(EGraph& egraph, const std::vector<RewriteRule>& rules,
                 // is exactly the full search's match-list-size check.
                 iterTotals[search.ruleIndex].matches +=
                     search.result.totalCount;
-                if (sched.useBackoff &&
+                if (limits.useBackoff &&
                     search.result.totalCount > search.cap) {
                     // Ban for an exponentially growing span and skip.
                     const size_t r = search.ruleIndex;
@@ -304,12 +250,7 @@ runEqSat(EGraph& egraph, const std::vector<RewriteRule>& rules,
                     ++stats.rulesBanned;
                     ++iterTotals[r].bans;
                     any_banned = true;
-                    scheduler.observeBan(r);
                     continue;
-                }
-                if (!search.replay) {
-                    scheduler.observeSearch(search.ruleIndex,
-                                            search.result);
                 }
                 std::vector<EMatch>& matches = search.result.matches;
                 iterTotals[search.ruleIndex].cacheSkips +=
@@ -327,11 +268,9 @@ runEqSat(EGraph& egraph, const std::vector<RewriteRule>& rules,
                 virtual_carry += search.result.cachedAfter;
             } catch (const InternalError&) {
                 ++skipped_this_iter;
-                scheduler.observeError(search.ruleIndex);
                 continue;
             } catch (const std::bad_alloc&) {
                 ++skipped_this_iter;
-                scheduler.observeError(search.ruleIndex);
                 continue;
             }
             if (out_of_time || poll_budget()) {
@@ -359,7 +298,7 @@ runEqSat(EGraph& egraph, const std::vector<RewriteRule>& rules,
                 applied += step;
                 v -= step;
                 if ((applied & 63u) == 0) {
-                    if (egraph.numNodes() > sched.maxNodes &&
+                    if (egraph.numNodes() > limits.maxNodes &&
                         egraph.numNodes() > nodes_before) {
                         added_nodes = true;
                         return true;
@@ -404,7 +343,7 @@ runEqSat(EGraph& egraph, const std::vector<RewriteRule>& rules,
                     continue;
                 }
                 if ((++applied & 63u) == 0) {
-                    if (egraph.numNodes() > sched.maxNodes &&
+                    if (egraph.numNodes() > limits.maxNodes &&
                         egraph.numNodes() > nodes_before) {
                         added_nodes = true;
                         break;
@@ -424,7 +363,6 @@ runEqSat(EGraph& egraph, const std::vector<RewriteRule>& rules,
             for (IncrementalSearchState& state : searchStates) {
                 state.reset();
             }
-            scheduler.invalidateCaches();
         }
         {
             TELEM_SPAN("eqsat.rebuild", "eqsat");
@@ -440,7 +378,6 @@ runEqSat(EGraph& egraph, const std::vector<RewriteRule>& rules,
         }
         if (telemetry::enabled()) {
             recordIteration(runId, iter, egraph, rules, iterTotals);
-            recordSchedule(runId, iter, sched);
             for (size_t r = 0; r < ruleCounters.size(); ++r) {
                 ruleCounters[r]->add(iterTotals[r].applications);
             }
@@ -466,24 +403,13 @@ runEqSat(EGraph& egraph, const std::vector<RewriteRule>& rules,
                            egraph.numNodes() == nodes_before &&
                            !any_banned && !added_nodes &&
                            skipped_this_iter == 0;
-        // The global node cap stops the run; a phased strategy's *phase*
-        // growth cap (sched.maxNodes < limits.maxNodes) only ends the
-        // phase, which endIteration below turns into a phase advance.
-        if (!quiet &&
-            ((added_nodes && !scheduler.phased()) ||
-             egraph.numNodes() > limits.maxNodes)) {
-            stats.stopReason = StopReason::NodeLimit;
-            return stats;
-        }
-        switch (scheduler.endIteration(quiet, added_nodes)) {
-          case Scheduler::Next::StopSaturated:
+        if (quiet) {
             stats.stopReason = StopReason::Saturated;
             return stats;
-          case Scheduler::Next::StopIterLimit:
-            stats.stopReason = StopReason::IterLimit;
+        }
+        if (added_nodes || egraph.numNodes() > limits.maxNodes) {
+            stats.stopReason = StopReason::NodeLimit;
             return stats;
-          case Scheduler::Next::Continue:
-            break;
         }
         if (poll_budget()) {
             stats.stopReason = out_of_time ? StopReason::TimeLimit

@@ -16,7 +16,6 @@
 
 #include "egraph/egraph.hpp"
 #include "egraph/ematch.hpp"
-#include "egraph/strategy.hpp"
 #include "support/budget.hpp"
 
 namespace isamore {
@@ -75,16 +74,6 @@ struct EqSatLimits {
      * both modes produce identical results and statistics.
      */
     bool incrementalSearch = true;
-
-    /**
-     * How the scheduler spends this run's iterations (scheduler.hpp).
-     * The default adaptive strategy only skips searches that provably
-     * return zero fresh matches, so its output is byte-identical to
-     * Strategy::exhaustive(); phased strategies supersede maxIterations
-     * with their own per-phase budgets and may trade completeness for
-     * time.
-     */
-    Strategy strategy;
 };
 
 /**
@@ -132,14 +121,6 @@ struct EqSatStats {
     size_t skippedRules = 0;
     StopReason stopReason = StopReason::Saturated;
     double seconds = 0.0;
-    /** Adaptive-scheduler activity, summed over iterations.  Like the
-     *  phase clocks these never reach deterministic pipeline output
-     *  (the schedule itself is deterministic, but the counts depend on
-     *  the strategy, which the identity contract ranges over). */
-    size_t searchesReplayed = 0;  ///< nonzero cached results synthesized
-    size_t searchesPruned = 0;    ///< zero-match searches skipped
-    size_t rulesRearmed = 0;      ///< pruned rules re-armed by dirtying
-    size_t phasesRun = 0;         ///< strategy phases entered (≥1)
     /** One entry per input rule, in rule order (egg-style totals). */
     std::vector<std::pair<std::string, RuleTotals>> perRule;
 };

@@ -253,11 +253,6 @@ runRii(const frontend::EncodedProgram& program,
                         non_sat[(start + k) % non_sat.size()]);
                 }
                 limits.maxIterations = 2;
-                // The rotating-slice machinery is itself a phasing
-                // discipline; a phased strategy's own iteration budgets
-                // would override the 2-sweep cap above, so only its
-                // adaptive (pruning/replay) core rides along here.
-                limits.strategy.phases.clear();
             }
 
             // Start the phase from the base graph plus kappa(P_pre).

@@ -54,8 +54,7 @@ struct RiiConfig {
 
     EqSatLimits eqsat{/*maxNodes=*/20000, /*maxIterations=*/8,
                       /*maxSeconds=*/10.0, /*maxMatchesPerRule=*/1024,
-                      /*useBackoff=*/false, /*incrementalSearch=*/true,
-                      /*strategy=*/{}};
+                      /*useBackoff=*/false, /*incrementalSearch=*/true};
     AuOptions au;
     SelectOptions select;
     VectorizeOptions vectorize;

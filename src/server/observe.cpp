@@ -349,12 +349,10 @@ corpusStatusJson(const SharedState& state)
         return os.str();
     }
     auto& registry = telemetry::Registry::instance();
-    os << "{\"attached\": true, \"sections\": {\"strategies\": "
-       << corpus->strategyCount()
-       << ", \"patterns\": " << corpus->librarySize()
+    os << "{\"attached\": true, \"sections\": {\"patterns\": "
+       << corpus->librarySize()
        << ", \"chunks\": " << corpus->chunkCount()
        << ", \"results\": " << corpus->resultCount()
-       << ", \"egraphs\": " << corpus->egraphCount()
        << "}, \"hits\": " << registry.counter("corpus.hits").value()
        << ", \"misses\": " << registry.counter("corpus.misses").value()
        << ", \"crossHits\": "

@@ -17,7 +17,7 @@
 #include "support/pool.hpp"
 #include "support/stopwatch.hpp"
 #include "support/telemetry.hpp"
-#include "workloads/libraries.hpp"
+#include "workloads/registry.hpp"
 
 namespace isamore {
 namespace server {
@@ -326,49 +326,6 @@ parseModeText(const std::string& text)
     return std::nullopt;
 }
 
-/** Workload resolution, mirroring the CLI's name space exactly. */
-std::optional<workloads::Workload>
-findWorkload(const std::string& name)
-{
-    static const std::vector<
-        std::pair<std::string, workloads::Workload (*)()>>
-        kernels = {
-            {"2dconv", workloads::makeConv2D},
-            {"matmul", workloads::makeMatMul},
-            {"matchain", workloads::makeMatChain},
-            {"fft", workloads::makeFft},
-            {"stencil", workloads::makeStencil},
-            {"qprod", workloads::makeQProd},
-            {"qrdecomp", workloads::makeQRDecomp},
-            {"deriche", workloads::makeDeriche},
-            {"sha", workloads::makeSha},
-            {"all", workloads::makeAll},
-            {"bitlinear", workloads::makeBitLinear},
-            {"kyber", workloads::makeKyberNtt},
-        };
-    for (const auto& [key, factory] : kernels) {
-        if (key == name) {
-            return factory();
-        }
-    }
-    auto specs = workloads::liquidDspSpecs();
-    specs.push_back(workloads::cimgSpec());
-    for (const auto& s : workloads::pclSpecs()) {
-        specs.push_back(s);
-    }
-    for (const auto& spec : specs) {
-        std::string full = spec.library + "/" + spec.name;
-        std::string lowered;
-        for (char c : full) {
-            lowered += static_cast<char>(std::tolower(c));
-        }
-        if (lowered == name || spec.name == name) {
-            return workloads::makeLibraryModule(spec);
-        }
-    }
-    return std::nullopt;
-}
-
 }  // namespace
 
 const JsonValue*
@@ -526,10 +483,6 @@ parseRequest(const std::string& line, uint64_t seq)
             if (!wantBool(value, "extendedRules", request.extendedRules)) {
                 return request;
             }
-        } else if (key == "strategy") {
-            if (!wantString(value, "strategy", request.strategyText)) {
-                return request;
-            }
         } else if (key == "inject") {
             if (!wantString(value, "inject", request.inject)) {
                 return request;
@@ -677,7 +630,7 @@ SharedState::getOrAnalyze(const std::string& name)
     if (it != workloads_.end()) {
         return it->second;
     }
-    auto workload = findWorkload(name);
+    auto workload = workloads::find(name);
     if (!workload.has_value()) {
         return nullptr;
     }
@@ -715,16 +668,6 @@ SharedState::runAnalysis(const Request& request, Budget& rootBudget)
         response.error = "unknown mode: " + request.modeText;
         return response;
     }
-    std::optional<Strategy> strategy;
-    if (!request.strategyText.empty()) {
-        std::string strategyError;
-        strategy = parseStrategy(request.strategyText, strategyError);
-        if (!strategy.has_value()) {
-            response.status = Status::Invalid;
-            response.error = "bad strategy: " + strategyError;
-            return response;
-        }
-    }
 
     std::shared_ptr<const AnalyzedWorkload> analyzed;
     try {
@@ -746,14 +689,11 @@ SharedState::runAnalysis(const Request& request, Budget& rootBudget)
     // Only unconstrained, fault-free requests may use the response
     // cache: anything with a budget, an injection, or a pinned thread
     // count must actually run to observe its own degradation (or, for
-    // threads, to actually exercise the pipeline at that width).  A
-    // requested strategy also runs uncached: only the default schedule
-    // is proven byte-identical to the cached (golden) documents.
+    // threads, to actually exercise the pipeline at that width).
     const bool cacheable = request.cache && request.inject.empty() &&
                            request.deadlineMs == 0.0 &&
                            request.maxUnits == 0 &&
-                           request.threads == 0 &&
-                           request.strategyText.empty();
+                           request.threads == 0;
     const std::string cacheKey = request.workload + '\x1f' +
                                  rii::modeName(*mode) + '\x1f' +
                                  (request.extendedRules ? "x" : "-");
@@ -800,9 +740,6 @@ SharedState::runAnalysis(const Request& request, Budget& rootBudget)
         }
 
         rii::RiiConfig config = rii::RiiConfig::forMode(*mode);
-        if (strategy.has_value()) {
-            config.eqsat.strategy = *strategy;
-        }
         config.parentBudget = &rootBudget;
         const rules::RulesetLibrary& library =
             request.extendedRules ? extendedLibrary() : default_;

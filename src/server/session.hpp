@@ -125,14 +125,6 @@ struct Request {
      */
     std::string modeText = "default";
     bool extendedRules = false;
-    /**
-     * EqSat scheduling strategy, kept textual like mode: a built-in name
-     * or a full spec (strategy.hpp), validated at execution so a bad
-     * value surfaces as Invalid.  Non-default strategies skip the
-     * response cache — only the default schedule is proven
-     * byte-identical to the cached goldens.
-     */
-    std::string strategyText;
     double deadlineMs = 0.0;  ///< 0 = no per-request deadline
     uint64_t maxUnits = 0;    ///< 0 = no per-request work-unit cap
     std::string inject;       ///< fault spec; non-empty => exclusive lane

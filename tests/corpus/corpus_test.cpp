@@ -2,9 +2,9 @@
  * @file
  * Persistent-corpus tests: serialization primitives, frame validation,
  * per-section round-trips, corruption rejection (whole-file refusal with
- * no partial loads), e-graph snapshot round-trips, seeded fuzz
- * round-trips, and the warm-start determinism contract -- a warm run
- * byte-identical to the cold run it replaces at 1, 2, and 4 threads.
+ * no partial loads), seeded fuzz round-trips, and the warm-start
+ * determinism contract -- a warm run byte-identical to the cold run it
+ * replaces at 1, 2, and 4 threads.
  */
 #include <gtest/gtest.h>
 
@@ -114,10 +114,10 @@ TEST(CorpusFormat, ReaderRefusesOverrunAndAbsurdCounts)
 TEST(CorpusFormat, FrameRoundTripAndRejection)
 {
     const std::string image = frameFile(
-        11, 22, {{SectionTag::Strategies, "abc"}, {SectionTag::Library, ""}});
+        11, 22, {{SectionTag::AuChunks, "abc"}, {SectionTag::Library, ""}});
     const auto sections = unframeFile(image, 11, 22, "good.bin");
     ASSERT_EQ(sections.size(), 2u);
-    EXPECT_EQ(sections[0].first, SectionTag::Strategies);
+    EXPECT_EQ(sections[0].first, SectionTag::AuChunks);
     EXPECT_EQ(sections[0].second, "abc");
     EXPECT_EQ(sections[1].first, SectionTag::Library);
 
@@ -150,30 +150,6 @@ TEST(CorpusFormat, FrameRoundTripAndRejection)
         EXPECT_NE(std::string(e.what()).find("named.bin"),
                   std::string::npos);
     }
-}
-
-TEST(Corpus, StrategiesRoundTripWithGlobalFallback)
-{
-    const rules::RulesetLibrary rules = rules::defaultLibrary();
-    const std::string path = tempPath("strategies.bin");
-
-    Corpus out;
-    out.recordStrategy("matmul", *builtinStrategy("trim"));
-    out.recordStrategy("global", *builtinStrategy("sat-first"));
-    EXPECT_TRUE(out.dirty());
-    out.save(path, rules);
-    EXPECT_FALSE(out.dirty());
-
-    Corpus in;
-    in.load(path, rules);
-    ASSERT_EQ(in.strategyCount(), 2u);
-    ASSERT_TRUE(in.strategyFor("matmul").has_value());
-    EXPECT_TRUE(*in.strategyFor("matmul") == *builtinStrategy("trim"));
-    // Unknown workloads fall back to the "global" row.
-    ASSERT_TRUE(in.strategyFor("stencil").has_value());
-    EXPECT_TRUE(*in.strategyFor("stencil") ==
-                *builtinStrategy("sat-first"));
-    std::remove(path.c_str());
 }
 
 TEST(Corpus, LibraryRoundTripPreservesDagSharing)
@@ -212,7 +188,7 @@ TEST(Corpus, CorruptFileRefusedWithoutPartialState)
     const std::string path = tempPath("corrupt.bin");
 
     Corpus writer;
-    writer.recordStrategy("matmul", *builtinStrategy("trim"));
+    writer.storeResult("writer-key", CachedResult{});
     writer.recordMined("fft", {makeTerm(Op::Add, {arg(0, 0), lit(1)})});
     writer.save(path, rules);
 
@@ -222,54 +198,39 @@ TEST(Corpus, CorruptFileRefusedWithoutPartialState)
     spit(path, image);
 
     Corpus reader;
-    reader.recordStrategy("stencil", *builtinStrategy("sat-first"));
+    reader.storeResult("reader-key", CachedResult{});
     reader.recordMined("qprod", {makeTerm(Op::Mul, {arg(0, 0), lit(2)})});
     EXPECT_THROW(reader.load(path, rules), UserError);
     // The failed load took no partial state: everything the reader held
     // before is still there, and nothing from the corrupt file is.
-    EXPECT_EQ(reader.strategyCount(), 1u);
-    EXPECT_TRUE(reader.strategyFor("stencil").has_value());
-    EXPECT_FALSE(reader.strategyFor("matmul").has_value());
+    EXPECT_EQ(reader.resultCount(), 1u);
+    EXPECT_NE(reader.findResult("reader-key"), nullptr);
+    EXPECT_EQ(reader.findResult("writer-key"), nullptr);
     EXPECT_EQ(reader.librarySize(), 1u);
+    EXPECT_TRUE(reader.seedPatterns("qprod").empty());
     std::remove(path.c_str());
 }
 
-EGraphSnapshot
-buildRandomSnapshot(uint64_t seed)
+/** A storable result with seed-dependent contents in every section. */
+CachedResult
+randomResult(Rng& rng, const std::vector<TermPtr>& bodies)
 {
-    Rng rng(seed);
-    EGraph g;
-    for (int i = 0; i < 6; ++i) {
-        TermPtr t = lit(static_cast<int64_t>(rng.below(4)));
-        for (int d = 0; d < 3; ++d) {
-            static const Op ops[] = {Op::Add, Op::Sub, Op::Mul, Op::And};
-            t = makeTerm(ops[rng.below(std::size(ops))],
-                         {t, arg(0, static_cast<int64_t>(rng.below(4)))});
-        }
-        g.addTerm(t);
-    }
-    static const auto sat = rules::defaultLibrary().intSat();
-    EqSatLimits limits;
-    limits.maxIterations = 3;
-    limits.maxNodes = 2000;
-    runEqSat(g, sat, limits);
-    return g.exportSnapshot();
-}
-
-void
-expectSnapshotsEqual(const EGraphSnapshot& a, const EGraphSnapshot& b)
-{
-    EXPECT_EQ(a.clock, b.clock);
-    EXPECT_EQ(a.version, b.version);
-    EXPECT_EQ(a.numIds, b.numIds);
-    EXPECT_EQ(a.unionFind, b.unionFind);
-    EXPECT_EQ(a.stamps, b.stamps);
-    ASSERT_EQ(a.classes.size(), b.classes.size());
-    for (size_t i = 0; i < a.classes.size(); ++i) {
-        EXPECT_EQ(a.classes[i].id, b.classes[i].id);
-        EXPECT_EQ(a.classes[i].nodes, b.classes[i].nodes);
-        EXPECT_EQ(a.classes[i].parents, b.classes[i].parents);
-    }
+    CachedResult result;
+    result.registryBodies = bodies;
+    rii::Solution solution;
+    solution.patternIds = {0};
+    solution.deltaNs = static_cast<double>(rng.below(5000));
+    solution.speedup = 1.0 + static_cast<double>(rng.below(100)) / 8.0;
+    solution.areaUm2 = static_cast<double>(rng.below(20000));
+    solution.program = bodies[rng.below(bodies.size())];
+    solution.useCounts = {rng.below(6)};
+    result.front.push_back(std::move(solution));
+    result.stats.peakNodes = rng.below(10000);
+    result.stats.phasesRun = rng.below(8);
+    result.stats.ruleTotals["add-comm"] =
+        RuleTotals{rng.below(50), rng.below(20), 0, rng.below(10)};
+    result.diagnostics.skippedPairs = rng.below(3);
+    return result;
 }
 
 class CorpusFuzz : public ::testing::TestWithParam<int> {};
@@ -296,9 +257,8 @@ TEST_P(CorpusFuzz, RandomStateSurvivesSaveLoadByteExact)
         bodies.push_back(t);
     }
     out.recordMined("fuzz_a", bodies);
-    out.recordStrategy("fuzz_a", *builtinStrategy("trim"));
-    const EGraphSnapshot snapshot = buildRandomSnapshot(seed * 33 + 1);
-    out.storeEGraph("g", snapshot);
+    const CachedResult stored = randomResult(rng, bodies);
+    out.storeResult("fuzz_key", stored);
     out.save(path, rules);
 
     Corpus in;
@@ -310,20 +270,30 @@ TEST_P(CorpusFuzz, RandomStateSurvivesSaveLoadByteExact)
     for (size_t i = 0; i < mine.size(); ++i) {
         EXPECT_TRUE(termEqualsDeep(mine[i], theirs[i]));
     }
-    const EGraphSnapshot* loaded = in.findEGraph("g");
+    const CachedResult* loaded = in.findResult("fuzz_key");
     ASSERT_NE(loaded, nullptr);
-    expectSnapshotsEqual(*loaded, snapshot);
-
-    // Restoring the loaded snapshot reproduces an observationally
-    // identical graph: its own export matches the original image.
-    EGraph g;
-    g.restoreSnapshot(*loaded);
-    expectSnapshotsEqual(g.exportSnapshot(), snapshot);
+    ASSERT_EQ(loaded->registryBodies.size(), stored.registryBodies.size());
+    for (size_t i = 0; i < stored.registryBodies.size(); ++i) {
+        EXPECT_TRUE(termEqualsDeep(loaded->registryBodies[i],
+                                   stored.registryBodies[i]));
+    }
+    ASSERT_EQ(loaded->front.size(), 1u);
+    EXPECT_EQ(loaded->front[0].speedup, stored.front[0].speedup);
+    EXPECT_EQ(loaded->front[0].areaUm2, stored.front[0].areaUm2);
+    EXPECT_EQ(loaded->front[0].useCounts, stored.front[0].useCounts);
+    EXPECT_TRUE(
+        termEqualsDeep(loaded->front[0].program, stored.front[0].program));
+    EXPECT_EQ(loaded->stats.peakNodes, stored.stats.peakNodes);
+    EXPECT_EQ(loaded->stats.phasesRun, stored.stats.phasesRun);
+    EXPECT_EQ(loaded->stats.ruleTotals.at("add-comm").cacheSkips,
+              stored.stats.ruleTotals.at("add-comm").cacheSkips);
+    EXPECT_EQ(loaded->diagnostics.skippedPairs,
+              stored.diagnostics.skippedPairs);
 
     // A second save of the loaded state is byte-identical: the format
     // is canonical, so save/load/save is a fixpoint.
     const std::string image = slurp(path);
-    in.recordStrategy("fuzz_a", *builtinStrategy("trim"));  // no-op
+    in.storeResult("fuzz_key", stored);  // no-op: first store wins
     const std::string rewritten = tempPath("fuzz_rw.bin");
     in.save(rewritten, rules);
     EXPECT_EQ(slurp(rewritten), image);

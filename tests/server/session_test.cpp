@@ -126,6 +126,7 @@ TEST(ParseRequestTest, OpsAndValidation)
              "{}",                               // analyze needs workload
              "{\"workload\": 42}",               // wrong type
              "{\"workload\": \"matmul\", \"x\": 1}",  // unknown field
+             "{\"workload\": \"m\", \"strategy\": \"x\"}",  // retired field
              "{\"workload\": \"m\", \"deadlineMs\": -1}",
              "{\"workload\": \"m\", \"deadlineMs\": 0}",
              "{\"workload\": \"m\", \"maxUnits\": 1.5}",
@@ -136,18 +137,6 @@ TEST(ParseRequestTest, OpsAndValidation)
         EXPECT_FALSE(request.valid) << bad;
         EXPECT_FALSE(request.error.empty()) << bad;
     }
-}
-
-TEST(ParseRequestTest, StrategyIsKeptTextual)
-{
-    const Request request = parseRequest(
-        "{\"workload\": \"matmul\", \"strategy\": \"sat-first\"}", 1);
-    EXPECT_TRUE(request.valid);
-    EXPECT_EQ(request.strategyText, "sat-first");
-
-    const Request bad =
-        parseRequest("{\"workload\": \"matmul\", \"strategy\": 42}", 1);
-    EXPECT_FALSE(bad.valid);
 }
 
 TEST(ParseRequestTest, IdIsEchoedEvenWhenInvalid)
@@ -357,35 +346,6 @@ TEST(SharedStateTest, ResponseCacheHitsAreByteIdentical)
         state.executeRequest(analyzeRequest("matmul", false), root);
     EXPECT_FALSE(fresh.cached);
     EXPECT_EQ(stripWallClock(first.result), stripWallClock(fresh.result));
-}
-
-TEST(SharedStateTest, StrategyRequestsValidateAndBypassTheCache)
-{
-    SharedState state;
-    Budget root;
-
-    // A bad spec is a structured user error, not a pipeline run.
-    Request bad = analyzeRequest("matmul");
-    bad.strategyText = "no-such-strategy";
-    const Response refused = state.executeRequest(bad, root);
-    EXPECT_EQ(refused.status, Status::Invalid);
-    EXPECT_NE(refused.error.find("bad strategy"), std::string::npos);
-
-    // The exhaustive schedule is the engine the adaptive default is
-    // pinned to, so its result bytes must match the default's.
-    const Response plain = state.executeRequest(analyzeRequest("matmul"), root);
-    ASSERT_EQ(plain.status, Status::Ok);
-    Request exhaustive = analyzeRequest("matmul");
-    exhaustive.strategyText = "exhaustive";
-    const Response scheduled = state.executeRequest(exhaustive, root);
-    ASSERT_EQ(scheduled.status, Status::Ok);
-    EXPECT_EQ(stripWallClock(plain.result), stripWallClock(scheduled.result));
-
-    // Byte-identity across arbitrary strategies is not proven, so a
-    // strategy-carrying request neither reads nor populates the cache.
-    EXPECT_FALSE(scheduled.cached);
-    const Response again = state.executeRequest(exhaustive, root);
-    EXPECT_FALSE(again.cached);
 }
 
 TEST(SharedStateTest, HundredSequentialRequestsDoNotGrowInternTable)

@@ -8,27 +8,11 @@
  *                 [--out <path>] [--baseline <path>] [--check-identical]
  *                 [--min-ematch-speedup <x>]
  *                 [--min-au-speedup <x>]
- *                 [--min-eqsat-time-reduction <x>]
  *
  * Per workload and repetition, the pipeline's stages are timed
  * independently:
  *   - eqsat:    equality saturation of the encoded e-graph with the
- *               integer saturating ruleset.  A schedule comparison
- *               additionally times, on identical copies with
- *               per-rep rotated run order, the adaptive default, the
- *               exhaustive strategy (scheduling and incremental search
- *               off: every rule searched from scratch every iteration),
- *               and -- with --tuned <strategy|@map-file> -- the tuned
- *               aggressive strategy isamore_tune emitted.  Exhaustive
- *               must agree with adaptive on applications/iterations/stop
- *               reason (the provable-skip contract); the tuned strategy
- *               may trade completeness for time but must reproduce an
- *               equal-or-better pipeline Pareto front (re-checked here
- *               once per workload, exit 1 on violation).
- *               --min-eqsat-time-reduction <x> fails the run (exit 1)
- *               when median(exhaustive)/median(tuned) -- or, without
- *               --tuned, median(exhaustive)/median(adaptive) -- drops
- *               below x on any selected workload
+ *               integer saturating ruleset
  *   - ematch:   one full-ruleset search pass over the saturated graph,
  *               naive (legacy backtracking matcher, whole-graph scan)
  *               vs compiled (pattern VM seeded from the op index); both
@@ -106,7 +90,6 @@
 #include "corpus/warm.hpp"
 #include "dsl/intern.hpp"
 #include "egraph/ematch_program.hpp"
-#include "egraph/strategy.hpp"
 #include "egraph/extract.hpp"
 #include "egraph/rewrite.hpp"
 #include "isamore/isamore.hpp"
@@ -117,6 +100,7 @@
 #include "support/check.hpp"
 #include "support/pool.hpp"
 #include "support/stopwatch.hpp"
+#include "workloads/registry.hpp"
 
 namespace {
 
@@ -174,15 +158,6 @@ pairedOverheadRatio(const StageTiming& a, const StageTiming& b)
 struct WorkloadReport {
     std::string name;
     StageTiming eqsat;
-    StageTiming eqsatExhaustive;
-    /** Adaptive default re-timed inside the fair rotation (the headline
-     *  `eqsat` sample always runs first in a rep, so it systematically
-     *  pays the cold start the rotation spreads evenly). */
-    StageTiming eqsatAdaptive;
-    StageTiming eqsatTuned;
-    bool tunedBenched = false;
-    std::string tunedName;
-    bool tunedFrontOk = true;
     StageTiming ematchNaive;
     StageTiming ematchCompiled;
     StageTiming au;
@@ -208,25 +183,6 @@ struct WorkloadReport {
     bool identicalChecked = false;
     bool identical = true;
 };
-
-std::vector<std::pair<std::string, workloads::Workload (*)()>>
-benchFactories()
-{
-    return {
-        {"2dconv", workloads::makeConv2D},
-        {"matmul", workloads::makeMatMul},
-        {"matchain", workloads::makeMatChain},
-        {"fft", workloads::makeFft},
-        {"stencil", workloads::makeStencil},
-        {"qprod", workloads::makeQProd},
-        {"qrdecomp", workloads::makeQRDecomp},
-        {"deriche", workloads::makeDeriche},
-        {"sha", workloads::makeSha},
-        {"all", workloads::makeAll},
-        {"bitlinear", workloads::makeBitLinear},
-        {"kyber", workloads::makeKyberNtt},
-    };
-}
 
 std::vector<std::string>
 splitCsv(const std::string& text)
@@ -302,14 +258,6 @@ writeReport(std::ostream& os, const std::vector<WorkloadReport>& reports,
            << "     \"stages\": {\n"
            << "       \"eqsat\": ";
         writeSamples(os, r.eqsat);
-        os << ",\n       \"eqsat_exhaustive\": ";
-        writeSamples(os, r.eqsatExhaustive);
-        os << ",\n       \"eqsat_adaptive\": ";
-        writeSamples(os, r.eqsatAdaptive);
-        if (r.tunedBenched) {
-            os << ",\n       \"eqsat_tuned\": ";
-            writeSamples(os, r.eqsatTuned);
-        }
         os << ",\n       \"ematch_naive\": ";
         writeSamples(os, r.ematchNaive);
         os << ",\n       \"ematch_compiled\": ";
@@ -339,18 +287,7 @@ writeReport(std::ostream& os, const std::vector<WorkloadReport>& reports,
             writeSamples(os, r.corpusWarm);
         }
         os << "\n     },\n"
-           << "     \"eqsat_time_reduction\": "
-           << r.eqsatExhaustive.median() /
-                  std::max(r.eqsatAdaptive.median(), 1e-6);
-        if (r.tunedBenched) {
-            os << ",\n     \"eqsat_tuned_strategy\": \"" << r.tunedName
-               << "\",\n     \"eqsat_tuned_reduction\": "
-               << r.eqsatExhaustive.median() /
-                      std::max(r.eqsatTuned.median(), 1e-6)
-               << ",\n     \"eqsat_tuned_front_ok\": "
-               << (r.tunedFrontOk ? "true" : "false");
-        }
-        os << ",\n     \"ematch_speedup\": "
+           << "     \"ematch_speedup\": "
            << r.ematchNaive.median() /
                   std::max(r.ematchCompiled.median(), 1e-6)
            << ",\n     \"au_term_speedup\": "
@@ -382,34 +319,6 @@ writeReport(std::ostream& os, const std::vector<WorkloadReport>& reports,
         os << "}" << (w + 1 < reports.size() ? "," : "") << "\n";
     }
     os << "  ]\n}\n";
-}
-
-/**
- * Weak Pareto coverage: every baseline (speedup, area) point is matched
- * or beaten by some candidate point in both objectives.  This is the
- * tuned-strategy admissibility contract isamore_tune establishes
- * offline; the bench re-checks it so a stale tuned map fails loudly
- * instead of gating on a degraded front.
- */
-bool
-frontCovered(const std::vector<rii::Solution>& baseline,
-             const std::vector<rii::Solution>& candidate)
-{
-    constexpr double kEps = 1e-9;
-    for (const rii::Solution& b : baseline) {
-        bool covered = false;
-        for (const rii::Solution& c : candidate) {
-            if (c.speedup >= b.speedup - kEps &&
-                c.areaUm2 <= b.areaUm2 + kEps) {
-                covered = true;
-                break;
-            }
-        }
-        if (!covered) {
-            return false;
-        }
-    }
-    return true;
 }
 
 /**
@@ -626,9 +535,6 @@ printBaselineDeltas(const std::vector<WorkloadReport>& reports,
         const std::vector<std::pair<std::string, const StageTiming*>>
             current{
                 {"eqsat", &r.eqsat},
-                {"eqsat_exhaustive", &r.eqsatExhaustive},
-                {"eqsat_adaptive", &r.eqsatAdaptive},
-                {"eqsat_tuned", &r.eqsatTuned},
                 {"ematch_naive", &r.ematchNaive},
                 {"ematch_compiled", &r.ematchCompiled},
                 {"au", &r.au},
@@ -672,11 +578,10 @@ usage()
                  " [--check-identical]"
                  " [--min-ematch-speedup <x>]"
                  " [--min-au-speedup <x>]"
-                 " [--min-eqsat-time-reduction <x>] [--serve-bench]"
+                 " [--serve-bench]"
                  " [--min-serve-speedup <x>] [--max-observe-overhead <x>]"
                  " [--corpus-bench]"
-                 " [--min-corpus-speedup <x>] [--corpus-out <path>]"
-                 " [--tuned <strategy|@map-file>]\n";
+                 " [--min-corpus-speedup <x>] [--corpus-out <path>]\n";
     return 2;
 }
 
@@ -698,9 +603,6 @@ main(int argc, char** argv)
     double minServeSpeedup = 0.0;
     double maxObserveOverhead = 0.0;
     double minCorpusSpeedup = 0.0;
-    double minEqsatTimeReduction = 0.0;
-    /** Workload (or "global") -> tuned strategy spec (see --tuned). */
-    std::map<std::string, std::string> tunedSpecs;
 
     for (int i = 1; i < argc; ++i) {
         const std::string flag = argv[i];
@@ -732,46 +634,6 @@ main(int argc, char** argv)
             minAuSpeedup = std::strtod(argv[++i], nullptr);
             if (minAuSpeedup <= 0.0) {
                 return usage();
-            }
-        } else if (flag == "--min-eqsat-time-reduction" && i + 1 < argc) {
-            minEqsatTimeReduction = std::strtod(argv[++i], nullptr);
-            if (minEqsatTimeReduction <= 0.0) {
-                return usage();
-            }
-        } else if (flag == "--tuned" && i + 1 < argc) {
-            // A bare built-in name / spec applies to every workload; an
-            // @file is the per-workload map isamore_tune emits
-            // ("<workload> <spec>" lines, '#' comments, a "global"
-            // fallback row).
-            const std::string arg = argv[++i];
-            if (!arg.empty() && arg[0] == '@') {
-                std::ifstream in(arg.substr(1));
-                if (!in) {
-                    std::cerr << "error: cannot read tuned map "
-                              << arg.substr(1) << "\n";
-                    return 2;
-                }
-                std::string line;
-                while (std::getline(in, line)) {
-                    if (line.empty() || line[0] == '#') {
-                        continue;
-                    }
-                    const size_t space = line.find(' ');
-                    if (space == std::string::npos) {
-                        std::cerr << "error: bad tuned-map line: " << line
-                                  << "\n";
-                        return 2;
-                    }
-                    tunedSpecs[line.substr(0, space)] =
-                        line.substr(space + 1);
-                }
-                if (tunedSpecs.empty()) {
-                    std::cerr << "error: empty tuned map " << arg.substr(1)
-                              << "\n";
-                    return 2;
-                }
-            } else {
-                tunedSpecs["global"] = arg;
             }
         } else if (flag == "--serve-bench") {
             serveBench = true;
@@ -820,21 +682,14 @@ main(int argc, char** argv)
 
     std::vector<WorkloadReport> reports;
     bool allIdentical = true;
-    bool allTunedFrontsOk = true;
     bool allCorpusIdentical = true;
     /** One corpus across every selected workload: warm reps exercise the
      *  result cache AND the cross-workload pattern accumulation path,
      *  and --corpus-out persists the union for artifact upload. */
     corpus::Corpus sharedCorpus;
     for (const std::string& name : names) {
-        workloads::Workload (*factory)() = nullptr;
-        for (const auto& [key, make] : benchFactories()) {
-            if (key == name) {
-                factory = make;
-                break;
-            }
-        }
-        if (factory == nullptr) {
+        std::optional<workloads::Workload> workload = workloads::find(name);
+        if (!workload.has_value()) {
             std::cerr << "unknown workload: " << name << "\n";
             return 2;
         }
@@ -843,32 +698,8 @@ main(int argc, char** argv)
                   << ", reps=" << reps << ")\n";
         WorkloadReport report;
         report.name = name;
-        const AnalyzedWorkload analyzed = analyzeWorkload(factory());
-        Strategy tunedStrategy;
-        const bool tunedActive = !tunedSpecs.empty();
-        if (tunedActive) {
-            auto found = tunedSpecs.find(name);
-            if (found == tunedSpecs.end()) {
-                found = tunedSpecs.find("global");
-            }
-            if (found == tunedSpecs.end()) {
-                std::cerr << "error: tuned map has no entry (nor a "
-                             "global fallback) for "
-                          << name << "\n";
-                return 2;
-            }
-            std::string strategyError;
-            const std::optional<Strategy> parsed =
-                parseStrategy(found->second, strategyError);
-            if (!parsed.has_value()) {
-                std::cerr << "error: bad tuned strategy for " << name
-                          << ": " << strategyError << "\n";
-                return 2;
-            }
-            tunedStrategy = *parsed;
-            report.tunedBenched = true;
-            report.tunedName = tunedStrategy.name;
-        }
+        const AnalyzedWorkload analyzed =
+            analyzeWorkload(std::move(*workload));
         const std::vector<RewriteRule> searchRules = library.intSat();
         std::vector<PatternProgram> programs;
         programs.reserve(searchRules.size());
@@ -880,60 +711,8 @@ main(int argc, char** argv)
             // Stage 1: EqSat on a fresh copy of the encoded e-graph.
             EGraph egraph = analyzed.program.egraph;
             Stopwatch watch;
-            const EqSatStats eqsatStats =
-                runEqSat(egraph, searchRules, config.eqsat);
+            runEqSat(egraph, searchRules, config.eqsat);
             report.eqsat.samplesMs.push_back(watch.seconds() * 1e3);
-            {
-                // Schedule comparison.  Exhaustive control =
-                // replay/pruning AND incremental search disabled --
-                // every rule searched from scratch every iteration, the
-                // fully unscheduled engine.  The adaptive default only
-                // ever skips work that provably produces nothing fresh,
-                // so it must walk the same iteration/application
-                // trajectory; the tuned strategy (with --tuned) may
-                // trade completeness for time, bounded by the rep-0
-                // Pareto check below.  Each contender runs on a fresh
-                // copy with per-rep rotated order, so none of them
-                // systematically pays the cold start.
-                EqSatLimits exhaustiveLimits = config.eqsat;
-                exhaustiveLimits.strategy = Strategy::exhaustive();
-                exhaustiveLimits.incrementalSearch = false;
-                EqSatLimits tunedLimits = config.eqsat;
-                tunedLimits.strategy = tunedStrategy;
-                struct Contender {
-                    StageTiming* out;
-                    const EqSatLimits* limits;
-                    bool checkTrajectory;
-                };
-                std::vector<Contender> contenders{
-                    {&report.eqsatAdaptive, &config.eqsat, false},
-                    {&report.eqsatExhaustive, &exhaustiveLimits, true},
-                };
-                if (tunedActive) {
-                    contenders.push_back(
-                        {&report.eqsatTuned, &tunedLimits, false});
-                }
-                for (size_t i = 0; i < contenders.size(); ++i) {
-                    const Contender& contender =
-                        contenders[(i + rep) % contenders.size()];
-                    EGraph copy = analyzed.program.egraph;
-                    watch.reset();
-                    const EqSatStats stats =
-                        runEqSat(copy, searchRules, *contender.limits);
-                    contender.out->samplesMs.push_back(watch.seconds() *
-                                                       1e3);
-                    ISAMORE_CHECK_MSG(
-                        !contender.checkTrajectory ||
-                            stats.stopReason == StopReason::TimeLimit ||
-                            eqsatStats.stopReason == StopReason::TimeLimit ||
-                            (stats.applications == eqsatStats.applications &&
-                             stats.iterations == eqsatStats.iterations &&
-                             stats.stopReason == eqsatStats.stopReason),
-                        "adaptive and exhaustive EqSat diverged on " +
-                            name);
-                }
-            }
-
             // Stage 1b: full-ruleset search passes over the saturated
             // graph, old engine vs new, serially (the engines themselves,
             // not the fan-out, are under test).  A single pass is tens of
@@ -1030,25 +809,6 @@ main(int argc, char** argv)
                 identifyInstructions(analyzed, rii::Mode::Default);
             report.pipeline.samplesMs.push_back(watch.seconds() * 1e3);
             report.frontSize = result.front.size();
-
-            if (tunedActive && rep == 0) {
-                // Tuned-strategy contract: trading completeness for time
-                // is admissible only while the full pipeline's Pareto
-                // front stays equal-or-better than the default
-                // schedule's (DESIGN.md "Rule scheduling & strategies").
-                rii::RiiConfig tunedConfig = config;
-                tunedConfig.eqsat.strategy = tunedStrategy;
-                const rii::RiiResult tunedResult =
-                    identifyInstructions(analyzed, tunedConfig);
-                report.tunedFrontOk =
-                    frontCovered(result.front, tunedResult.front);
-                if (!report.tunedFrontOk) {
-                    allTunedFrontsOk = false;
-                    std::cerr << "MISMATCH: " << name
-                              << " tuned strategy '" << report.tunedName
-                              << "' front is not equal-or-better\n";
-                }
-            }
 
             if (checkIdentical && rep == 0) {
                 // Determinism contract: the JSON report (pattern set,
@@ -1285,38 +1045,6 @@ main(int argc, char** argv)
 
     if (checkIdentical && !allIdentical) {
         return 1;
-    }
-    if (!allTunedFrontsOk) {
-        return 1;
-    }
-    if (minEqsatTimeReduction > 0.0) {
-        // The floor applies to the tuned strategy when one is loaded
-        // (the configuration allowed to trade completeness for time);
-        // without --tuned it falls on the byte-identical adaptive
-        // default, whose only lever is provable work avoidance.
-        bool fastEnough = true;
-        for (const WorkloadReport& r : reports) {
-            const StageTiming& contender =
-                r.tunedBenched ? r.eqsatTuned : r.eqsatAdaptive;
-            const double reduction = r.eqsatExhaustive.median() /
-                                     std::max(contender.median(), 1e-6);
-            std::cerr << "eqsat-schedule " << r.name << ": exhaustive "
-                      << r.eqsatExhaustive.median() << " ms, adaptive "
-                      << r.eqsatAdaptive.median() << " ms";
-            if (r.tunedBenched) {
-                std::cerr << ", tuned(" << r.tunedName << ") "
-                          << r.eqsatTuned.median() << " ms";
-            }
-            std::cerr << " -> " << reduction << "x\n";
-            if (reduction < minEqsatTimeReduction) {
-                std::cerr << "FAIL: below the " << minEqsatTimeReduction
-                          << "x EqSat time-reduction floor\n";
-                fastEnough = false;
-            }
-        }
-        if (!fastEnough) {
-            return 1;
-        }
     }
     if (minEmatchSpeedup > 0.0) {
         bool fastEnough = true;

@@ -6,15 +6,15 @@
  *   isamore_cli list
  *   isamore_cli run <workload> [--mode default|astsize|kdsample|vector|
  *                                      noeqsat|llmt]
- *                   [--strategy <name-or-spec>]
  *                   [--corpus <path>] [--corpus-readonly] [--corpus-seed]
  *                   [--emit-verilog] [--rocc] [--dump-egraph] [--json]
  *                   [--extended-rules] [--inject <faults>] [--threads <n>]
  *
  * Workload names: the Table 2 kernels (matmul, matchain, 2dconv, fft,
  * stencil, qprod, qrdecomp, deriche, sha), "all", the case studies
- * (bitlinear, kyber), and the library modules (e.g. liquid-dsp/filter,
- * cimg, pcl/search).
+ * (bitlinear, kyber), and the library modules as `list` prints them
+ * (e.g. liquid-dsp/filter, CImg/cimg, PCL/search), in lower case, or by
+ * bare module name (see src/workloads/registry.hpp).
  *
  * Exit codes (stable; scripts may rely on them):
  *   0  clean success
@@ -35,22 +35,10 @@
  * work-stealing pool used by EqSat's match phase and the AU pair sweep;
  * results are identical for every thread count (see DESIGN.md).
  *
- * `--strategy` (or the ISAMORE_STRATEGY environment variable) selects
- * the EqSat scheduling strategy: a built-in name ("default",
- * "exhaustive", "sat-first", "trim") or a full `name=...;phase=...`
- * spec (see src/egraph/strategy.hpp).  The default adaptive strategy
- * produces output byte-identical to "exhaustive"; other named
- * strategies may trade completeness for EqSat time.  Precedence: when
- * both are set, --strategy wins and ISAMORE_STRATEGY is ignored
- * entirely (its value is not even parsed).  A bad flag value is a usage
- * error (exit 2); a bad environment value is invalid input (exit 3).
- * The literal value "corpus" (flag only) resolves the strategy from the
- * loaded --corpus by workload name, falling back to its "global" entry.
- *
  * `--corpus <path>` loads a persistent pattern corpus before the run
  * (starting empty if the file does not exist yet) and saves it back
  * afterwards, warm-starting this and future runs: cached results,
- * memoized AU chunks, tuned strategies, and the cross-workload pattern
+ * memoized AU chunks, and the cross-workload pattern
  * library (see src/corpus/warm.hpp).  `--corpus-readonly` consults the
  * corpus without writing the file (and makes a missing file an error);
  * `--corpus-seed` additionally injects patterns mined from *other*
@@ -83,7 +71,7 @@
 #include "support/fault.hpp"
 #include "support/pool.hpp"
 #include "support/telemetry.hpp"
-#include "workloads/libraries.hpp"
+#include "workloads/registry.hpp"
 
 namespace {
 
@@ -94,51 +82,6 @@ constexpr int kExitUsage = 2;
 constexpr int kExitUser = 3;
 constexpr int kExitInternal = 4;
 constexpr int kExitDegraded = 5;
-
-std::vector<std::pair<std::string, workloads::Workload (*)()>>
-kernelFactories()
-{
-    return {
-        {"2dconv", workloads::makeConv2D},
-        {"matmul", workloads::makeMatMul},
-        {"matchain", workloads::makeMatChain},
-        {"fft", workloads::makeFft},
-        {"stencil", workloads::makeStencil},
-        {"qprod", workloads::makeQProd},
-        {"qrdecomp", workloads::makeQRDecomp},
-        {"deriche", workloads::makeDeriche},
-        {"sha", workloads::makeSha},
-        {"all", workloads::makeAll},
-        {"bitlinear", workloads::makeBitLinear},
-        {"kyber", workloads::makeKyberNtt},
-    };
-}
-
-std::optional<workloads::Workload>
-findWorkload(const std::string& name)
-{
-    for (const auto& [key, factory] : kernelFactories()) {
-        if (key == name) {
-            return factory();
-        }
-    }
-    auto specs = workloads::liquidDspSpecs();
-    specs.push_back(workloads::cimgSpec());
-    for (const auto& s : workloads::pclSpecs()) {
-        specs.push_back(s);
-    }
-    for (const auto& spec : specs) {
-        std::string full = spec.library + "/" + spec.name;
-        std::string lowered;
-        for (char c : full) {
-            lowered += static_cast<char>(std::tolower(c));
-        }
-        if (lowered == name || spec.name == name) {
-            return workloads::makeLibraryModule(spec);
-        }
-    }
-    return std::nullopt;
-}
 
 std::optional<rii::Mode>
 parseMode(const std::string& text)
@@ -167,18 +110,15 @@ parseMode(const std::string& text)
 int
 listWorkloads()
 {
+    // names() lists the kernels first; library modules carry a '/'.
+    bool libraries = false;
     std::cout << "kernels & case studies:\n";
-    for (const auto& [key, factory] : kernelFactories()) {
-        std::cout << "  " << key << "\n";
-    }
-    std::cout << "library modules:\n";
-    auto specs = workloads::liquidDspSpecs();
-    specs.push_back(workloads::cimgSpec());
-    for (const auto& s : workloads::pclSpecs()) {
-        specs.push_back(s);
-    }
-    for (const auto& spec : specs) {
-        std::cout << "  " << spec.library << "/" << spec.name << "\n";
+    for (const std::string& name : workloads::names()) {
+        if (!libraries && name.find('/') != std::string::npos) {
+            libraries = true;
+            std::cout << "library modules:\n";
+        }
+        std::cout << "  " << name << "\n";
     }
     return kExitOk;
 }
@@ -193,12 +133,6 @@ printUsage(std::ostream& os)
        << "run flags (every other flag is an error):\n"
        << "  --mode <m>         default | astsize | kdsample | vector | "
           "noeqsat | llmt\n"
-       << "  --strategy <s>     EqSat scheduling strategy: "
-          "default | exhaustive | sat-first | trim,\n"
-       << "                     a name=...;phase=... spec "
-          "(src/egraph/strategy.hpp), or \"corpus\"\n"
-       << "                     to resolve from the loaded --corpus "
-          "(workload entry, then \"global\")\n"
        << "  --corpus <path>    load the persistent corpus (created if "
           "missing) and save it back\n"
        << "  --corpus-readonly  never write the corpus file back "
@@ -223,10 +157,6 @@ printUsage(std::ostream& os)
        << "environment:\n"
        << "  ISAMORE_THREADS    default pool size (--threads wins)\n"
        << "  ISAMORE_FAULTS     fault spec (--inject wins)\n"
-       << "  ISAMORE_STRATEGY   EqSat strategy; --strategy wins and the "
-          "env value is then ignored unparsed\n"
-       << "                     (bad flag value: exit 2; bad env value: "
-          "exit 3)\n"
        << "  ISAMORE_TRACE      \"1\" enables telemetry; any other value "
           "is a trace output path\n"
        << "\n"
@@ -254,8 +184,6 @@ runCommand(int argc, char** argv)
 {
     const std::string name = argv[2];
     rii::Mode mode = rii::Mode::Default;
-    std::optional<Strategy> strategy;
-    bool strategy_from_corpus = false;
     bool emit_verilog = false;
     bool rocc = false;
     bool dump = false;
@@ -299,26 +227,6 @@ runCommand(int argc, char** argv)
                 return kExitUsage;
             }
             mode = *parsed;
-        } else if (flag == "--strategy") {
-            const char* value = value_of(i);
-            if (value == nullptr) {
-                return kExitUsage;
-            }
-            if (std::strcmp(value, "corpus") == 0) {
-                // Resolved against the loaded corpus below, once the
-                // workload name is known.
-                strategy_from_corpus = true;
-                strategy.reset();
-                continue;
-            }
-            strategy_from_corpus = false;
-            std::string error;
-            strategy = parseStrategy(value, error);
-            if (!strategy.has_value()) {
-                std::cerr << "error: bad --strategy value: " << error
-                          << "\n";
-                return kExitUsage;
-            }
         } else if (flag == "--corpus") {
             const char* value = value_of(i);
             if (value == nullptr) {
@@ -381,27 +289,13 @@ runCommand(int argc, char** argv)
     if (!trace_out.empty() || !metrics_out.empty()) {
         telemetry::setEnabled(true);
     }
-    // ISAMORE_STRATEGY mirrors --strategy for scripted runs (flag wins,
-    // including "--strategy corpus": the env value is then ignored
-    // without being parsed).  Unlike the flag, a bad value here is
-    // invalid input (exit 3): the command line itself was well-formed.
-    if (const char* env = std::getenv("ISAMORE_STRATEGY");
-        env != nullptr && *env != '\0' && !strategy.has_value() &&
-        !strategy_from_corpus) {
-        std::string error;
-        strategy = parseStrategy(env, error);
-        ISAMORE_USER_CHECK(strategy.has_value(),
-                           "bad ISAMORE_STRATEGY: " + error);
-    }
-
-    if (corpus_path.empty() &&
-        (strategy_from_corpus || corpus_readonly || corpus_seed)) {
-        std::cerr << "error: --strategy corpus, --corpus-readonly and "
-                     "--corpus-seed require --corpus <path>\n";
+    if (corpus_path.empty() && (corpus_readonly || corpus_seed)) {
+        std::cerr << "error: --corpus-readonly and --corpus-seed require "
+                     "--corpus <path>\n";
         return kExitUsage;
     }
 
-    auto workload = findWorkload(name);
+    auto workload = workloads::find(name);
     ISAMORE_USER_CHECK(workload.has_value(),
                        "unknown workload: " + name +
                            " (try `isamore_cli list`)");
@@ -418,8 +312,7 @@ runCommand(int argc, char** argv)
             std::cerr << "corpus: loaded " << corpus_path << " ("
                       << corpusStore->resultCount() << " results, "
                       << corpusStore->chunkCount() << " AU chunks, "
-                      << corpusStore->librarySize() << " patterns, "
-                      << corpusStore->strategyCount() << " strategies)\n";
+                      << corpusStore->librarySize() << " patterns)\n";
         } else {
             ISAMORE_USER_CHECK(!corpus_readonly,
                                "--corpus-readonly with missing corpus "
@@ -428,15 +321,6 @@ runCommand(int argc, char** argv)
             std::cerr << "corpus: " << corpus_path
                       << " does not exist yet; starting empty\n";
         }
-    }
-    if (strategy_from_corpus) {
-        auto resolved = corpusStore->strategyFor(workload->name);
-        ISAMORE_USER_CHECK(resolved.has_value(),
-                           "corpus " + corpus_path +
-                               " has no strategy for workload \"" +
-                               workload->name +
-                               "\" and no \"global\" fallback");
-        strategy = std::move(resolved);
     }
 
     bool degraded = false;
@@ -451,10 +335,7 @@ runCommand(int argc, char** argv)
         std::cout << dumpText(analyzed.program.egraph);
     }
 
-    rii::RiiConfig config = rii::RiiConfig::forMode(mode);
-    if (strategy.has_value()) {
-        config.eqsat.strategy = *strategy;
-    }
+    const rii::RiiConfig config = rii::RiiConfig::forMode(mode);
     corpus::WarmOptions warmOptions;
     warmOptions.seedLibrary = corpus_seed;
     rii::RiiResult result =
