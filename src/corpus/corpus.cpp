@@ -13,9 +13,8 @@ namespace isamore {
 namespace corpus {
 namespace {
 
-/** Entry caps: stores past these are refused (never evicted, so chunk
- *  pointers handed to the AU sweep stay valid for the corpus lifetime). */
-constexpr size_t kMaxChunks = 4096;
+/** Entry caps: stores past these are refused (never evicted, so result
+ *  pointers handed out by findResult stay valid for the corpus lifetime). */
 constexpr size_t kMaxLibrary = 4096;
 constexpr size_t kMaxResults = 256;
 
@@ -453,8 +452,8 @@ hashEqSatLimits(const EqSatLimits& limits)
 uint64_t
 hashAuOptions(const rii::AuOptions& au)
 {
-    // au.threads and au.chunkCache are deliberately absent: thread count
-    // and cache hits are behaviour-invariant by the sweep's contract.
+    // au.threads is deliberately absent: the thread count is
+    // behaviour-invariant by the sweep's contract.
     uint64_t h = mix64(0x61753634ull);
     h = hashCombine(h, static_cast<uint64_t>(au.sampling));
     h = hashCombine(h, au.typeFilter ? 1 : 0);
@@ -593,8 +592,6 @@ Corpus::load(const std::string& path, const rules::RulesetLibrary& rules)
     // file validated (the no-partial-loads contract).
     std::vector<LibraryEntry> library;
     std::unordered_map<const Term*, size_t> libraryIndex;
-    std::unordered_map<uint64_t, std::unique_ptr<rii::AuCachedChunk>>
-        chunks;
     std::map<std::string, std::unique_ptr<CachedResult>> results;
 
     for (const auto& [tag, payload] : sections) {
@@ -620,42 +617,6 @@ Corpus::load(const std::string& path, const rules::RulesetLibrary& rules)
                 libraryIndex.emplace(entry.canonical.get(),
                                      library.size());
                 library.push_back(std::move(entry));
-            }
-            break;
-          }
-          case SectionTag::AuChunks: {
-            const TermPoolReader pool =
-                TermPoolReader::deserialize(in, what);
-            const uint32_t count = in.u32();
-            in.checkCount(count, 36);
-            for (uint32_t i = 0; i < count; ++i) {
-                const uint64_t signature = in.u64();
-                auto chunk = std::make_unique<rii::AuCachedChunk>();
-                chunk->units = in.u64();
-                chunk->memoHits = in.u64();
-                chunk->memoMisses = in.u64();
-                const uint32_t pairs = in.u32();
-                in.checkCount(pairs, 12);
-                chunk->pairs.reserve(pairs);
-                for (uint32_t p = 0; p < pairs; ++p) {
-                    rii::AuCachedPair pair;
-                    pair.rawCandidates = in.u64();
-                    const uint32_t patterns = in.u32();
-                    in.checkCount(patterns, 4);
-                    pair.patterns.reserve(patterns);
-                    for (uint32_t k = 0; k < patterns; ++k) {
-                        TermPtr pattern = pool.get(in.u32(), what);
-                        if (pattern == nullptr) {
-                            throw UserError(what +
-                                            ": null chunk pattern");
-                        }
-                        pair.patterns.push_back(std::move(pattern));
-                    }
-                    chunk->pairs.push_back(std::move(pair));
-                }
-                if (!chunks.emplace(signature, std::move(chunk)).second) {
-                    throw UserError(what + ": duplicate chunk signature");
-                }
             }
             break;
           }
@@ -685,7 +646,6 @@ Corpus::load(const std::string& path, const rules::RulesetLibrary& rules)
     std::lock_guard<std::mutex> lock(mutex_);
     library_ = std::move(library);
     libraryIndex_ = std::move(libraryIndex);
-    chunks_ = std::move(chunks);
     results_ = std::move(results);
     dirty_ = false;
 }
@@ -708,38 +668,6 @@ Corpus::serializeLocked(const rules::RulesetLibrary& rules) const
         pool.serialize(out);
         out.bytes(body.take());
         sections.emplace_back(SectionTag::Library, out.take());
-    }
-    {
-        TermPoolWriter pool;
-        ByteWriter body;
-        body.u32(static_cast<uint32_t>(chunks_.size()));
-        // std::map-like determinism for the unordered store: write in
-        // ascending signature order so save() output is reproducible.
-        std::vector<uint64_t> signatures;
-        signatures.reserve(chunks_.size());
-        for (const auto& [signature, chunk] : chunks_) {
-            signatures.push_back(signature);
-        }
-        std::sort(signatures.begin(), signatures.end());
-        for (const uint64_t signature : signatures) {
-            const rii::AuCachedChunk& chunk = *chunks_.at(signature);
-            body.u64(signature);
-            body.u64(chunk.units);
-            body.u64(chunk.memoHits);
-            body.u64(chunk.memoMisses);
-            body.u32(static_cast<uint32_t>(chunk.pairs.size()));
-            for (const rii::AuCachedPair& pair : chunk.pairs) {
-                body.u64(pair.rawCandidates);
-                body.u32(static_cast<uint32_t>(pair.patterns.size()));
-                for (const TermPtr& pattern : pair.patterns) {
-                    body.u32(pool.id(pattern));
-                }
-            }
-        }
-        ByteWriter out;
-        pool.serialize(out);
-        out.bytes(body.take());
-        sections.emplace_back(SectionTag::AuChunks, out.take());
     }
     {
         TermPoolWriter pool;
@@ -832,34 +760,6 @@ Corpus::librarySize() const
     return library_.size();
 }
 
-const rii::AuCachedChunk*
-Corpus::lookup(uint64_t signature) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = chunks_.find(signature);
-    return it == chunks_.end() ? nullptr : it->second.get();
-}
-
-void
-Corpus::store(uint64_t signature, rii::AuCachedChunk chunk)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (chunks_.size() >= kMaxChunks ||
-        chunks_.count(signature) != 0) {
-        return;
-    }
-    chunks_.emplace(signature, std::make_unique<rii::AuCachedChunk>(
-                                   std::move(chunk)));
-    dirty_ = true;
-}
-
-size_t
-Corpus::chunkCount() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return chunks_.size();
-}
-
 const CachedResult*
 Corpus::findResult(const std::string& key) const
 {
@@ -908,13 +808,6 @@ Corpus::pinnedNodeCount() const
     for (const LibraryEntry& entry : library_) {
         walk(entry.body);
         walk(entry.canonical);
-    }
-    for (const auto& [signature, chunk] : chunks_) {
-        for (const rii::AuCachedPair& pair : chunk->pairs) {
-            for (const TermPtr& pattern : pair.patterns) {
-                walk(pattern);
-            }
-        }
     }
     for (const auto& [key, result] : results_) {
         for (const TermPtr& body : result->registryBodies) {

@@ -1,33 +1,27 @@
 /**
  * @file
- * Persistent pattern corpus: cross-run and cross-workload result caching
- * (ROADMAP item 1).
+ * Persistent pattern corpus: cross-run and cross-workload result caching.
  *
- * A Corpus accumulates, across analysis runs, everything worth keeping:
+ * A Corpus accumulates, across analysis runs, two things:
  *
  *  - the **pattern library**: every costed pattern body ever mined, with
  *    the workload that first produced it, so patterns mined from one
  *    workload can seed candidate generation for another;
- *  - the **AU chunk memo**: recorded anti-unification chunk results
- *    keyed by trace signature (rii::AuChunkCache), replayed verbatim on
- *    warm runs -- across runs and across workloads whose chunks are
- *    isomorphic;
  *  - **full analysis results** keyed by (workload, program, mode, rules,
  *    config) fingerprints, so an unchanged request skips the pipeline
  *    entirely.
  *
  * Determinism contract: a warm run that hits the corpus produces output
  * byte-identical to the cold run it replaces (modulo the "seconds"
- * wall-clock fields), at every thread count.  The pieces that guarantee
- * it: results are only stored from non-degraded, unconstrained,
- * fault-free runs; AU chunks replay with the exact per-pair records and
- * budget charges of their cold runs; and the file frame refuses any
- * corpus written by a build with different rewrite rules or operators.
- * Library seeding (RiiConfig::seedPatterns) is the one deliberately
- * output-changing feature and is opt-in via --corpus-seed.
+ * wall-clock fields), at every thread count, and a miss runs the plain
+ * pipeline.  The pieces that guarantee it: results are only stored from
+ * non-degraded, unconstrained, fault-free runs, and the file frame
+ * refuses any corpus written by a build with different rewrite rules or
+ * operators.  Library seeding (RiiConfig::seedPatterns) is the one
+ * deliberately output-changing feature and is opt-in via --corpus-seed.
  *
- * Concurrency: every method takes an internal mutex; AuCachedChunk
- * pointers returned by lookup() stay valid for the corpus's lifetime
+ * Concurrency: every method takes an internal mutex; CachedResult
+ * pointers returned by findResult() stay valid for the corpus's lifetime
  * (entries are never erased, only refused past a cap).  Terms held by
  * the corpus are strong TermPtr references, which is what pins their
  * interned nodes across internPurge(): the interner only drops nodes
@@ -45,7 +39,6 @@
 
 #include "corpus/format.hpp"
 #include "isamore/isamore.hpp"
-#include "rii/au.hpp"
 #include "rii/rii.hpp"
 #include "rules/rulesets.hpp"
 
@@ -96,9 +89,8 @@ uint64_t programFingerprint(const AnalyzedWorkload& analyzed);
 
 /**
  * Hash of every RiiConfig field that shapes pipeline output.  Excludes
- * au.threads and the chunk-cache pointer (thread count and cache hits
- * are behaviour-invariant) but includes seed patterns (seeding widens
- * the candidate set).
+ * au.threads (the thread count is behaviour-invariant) but includes seed
+ * patterns (seeding widens the candidate set).
  */
 uint64_t configFingerprint(const rii::RiiConfig& config);
 
@@ -109,7 +101,7 @@ std::string resultKey(const std::string& workload, uint64_t programFp,
 /** @} */
 
 /** The persistent corpus (see file comment). */
-class Corpus final : public rii::AuChunkCache {
+class Corpus {
  public:
     Corpus() = default;
     Corpus(const Corpus&) = delete;
@@ -159,15 +151,6 @@ class Corpus final : public rii::AuChunkCache {
 
     /** @} */
 
-    /** @name AU chunk memo (rii::AuChunkCache)
-     *  @{ */
-
-    const rii::AuCachedChunk* lookup(uint64_t signature) const override;
-    void store(uint64_t signature, rii::AuCachedChunk chunk) override;
-    size_t chunkCount() const;
-
-    /** @} */
-
     /** @name Full results
      *  @{ */
 
@@ -197,9 +180,6 @@ class Corpus final : public rii::AuChunkCache {
     std::vector<LibraryEntry> library_;
     /** Interned canonical body -> library_ index. */
     std::unordered_map<const Term*, size_t> libraryIndex_;
-    /** unique_ptr values keep chunk addresses stable across rehash. */
-    std::unordered_map<uint64_t, std::unique_ptr<rii::AuCachedChunk>>
-        chunks_;
     std::map<std::string, std::unique_ptr<CachedResult>> results_;
 };
 

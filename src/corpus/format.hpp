@@ -33,13 +33,13 @@ namespace corpus {
 inline constexpr char kMagic[8] = {'I', 'S', 'A', 'M', 'C', 'R', 'P', '\n'};
 
 /** Bumped on any incompatible layout change; old files are refused. */
-inline constexpr uint32_t kFormatVersion = 2;
+inline constexpr uint32_t kFormatVersion = 3;
 
-/** Section tags (u32, stable; 1 and 5 belonged to format-1 sections). */
+/** Section tags (u32, stable; 1, 3 and 5 belonged to retired sections
+ *  and are refused as unknown). */
 enum class SectionTag : uint32_t {
-    Library = 2,   ///< accumulated cross-workload pattern library
-    AuChunks = 3,  ///< AU sweep chunk memo keyed by trace signature
-    Results = 4,   ///< full analysis results keyed by analysis key
+    Library = 2,  ///< accumulated cross-workload pattern library
+    Results = 4,  ///< full analysis results keyed by analysis key
 };
 
 /** FNV-1a 64-bit over a byte range. */

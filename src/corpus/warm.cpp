@@ -48,9 +48,6 @@ identifyInstructions(const AnalyzedWorkload& analyzed,
         telemetry.counter("corpus.misses").add(1);
     }
 
-    // Cold run with the chunk memo attached; the sweep applies its own
-    // stricter replay gate, so attaching is always safe.
-    config.au.chunkCache = &corpus;
     rii::RiiResult result =
         isamore::identifyInstructions(analyzed, rules, config);
 

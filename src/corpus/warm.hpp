@@ -3,24 +3,21 @@
  * The warm-start analysis path: identifyInstructions() backed by a
  * persistent Corpus.
  *
- * A warm run consults the corpus at three levels, coarsest first:
+ * A warm run consults the corpus at two levels:
  *
  *  1. **Result cache**: if the (workload, program, mode, rules, config)
  *     key has a stored result, the whole pipeline is skipped and the
- *     cached result rehydrated (corpus.hits).
- *  2. **AU chunk memo**: on a result miss the corpus is attached as the
- *     sweep's AuChunkCache, so anti-unification chunks whose trace
- *     signatures match prior runs -- this run's earlier phases, prior
- *     runs, or other workloads -- replay instead of recomputing
- *     (corpus.skipped_pairs).
- *  3. **Pattern library** (opt-in): WarmOptions::seedLibrary injects
+ *     cached result rehydrated (corpus.hits).  On a miss the plain
+ *     pipeline runs (corpus.misses) and a clean result is stored.
+ *  2. **Pattern library** (opt-in): WarmOptions::seedLibrary injects
  *     patterns mined from *other* workloads as first-phase candidates,
  *     so e.g. fft-mined patterns cross-match against 2dconv.
  *
- * Levels 1-2 preserve the determinism contract: a warm run's output is
+ * Level 1 preserves the determinism contract: a warm run's output is
  * byte-identical to the cold run it replaces (modulo wall-clock), at
- * every thread count.  Level 3 deliberately widens the candidate set and
- * is therefore never enabled on golden-checked runs; seeded runs get a
+ * every thread count, and a miss is byte-identical to a run with no
+ * corpus.  Level 2 deliberately widens the candidate set and is
+ * therefore never enabled on golden-checked runs; seeded runs get a
  * distinct result-cache key (seeds are in the config fingerprint).
  */
 #pragma once
@@ -43,10 +40,9 @@ struct WarmOptions {
  * Whether a run with @p config may consult and populate the corpus's
  * result cache.  Requires: a mode whose base program is the input
  * program (everything but Vector), an unlimited run budget, no
- * constrained parent budget, and no armed fault injection -- the same
- * family of conditions under which a replay is guaranteed to reproduce
- * the recorded run.  Ineligible runs still execute normally (and still
- * use the AU chunk memo, which applies its own stricter gate).
+ * constrained parent budget, and no armed fault injection -- the
+ * conditions under which a stored result is guaranteed to reproduce the
+ * recorded run.  Ineligible runs still execute normally.
  */
 bool warmEligible(const rii::RiiConfig& config);
 

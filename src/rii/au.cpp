@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -215,191 +214,10 @@ struct ChunkOutcome {
     size_t memoMisses = 0;
     // HLS feature work over this chunk (telemetry, same determinism):
     // full scheduling walks, feature-memo hits, and candidate features
-    // composed from their children's summaries.  Zero for a replayed
-    // chunk, which evaluates nothing.
+    // composed from their children's summaries.
     size_t featureEvals = 0;
     size_t featureHits = 0;
     size_t featureComposed = 0;
-    /** Trace signature (0 unless the chunk cache was consulted). */
-    uint64_t signature = 0;
-    /** Whether the records came from the chunk cache, not a cold run. */
-    bool replayed = false;
-};
-
-/**
- * Topology-aware content hash of a term DAG: every distinct node gets a
- * local index in first-visit order, so internal sharing is part of the
- * hash.  Needed because the feature model downstream counts hardware
- * per distinct pointer -- two reps with equal content but different
- * sharing are observably different.
- */
-uint64_t
-topologyHash(const TermPtr& term)
-{
-    std::unordered_map<const Term*, uint64_t> ids;
-    uint64_t hash = mix64(0x746f706full);  // 'topo'
-    const std::function<void(const TermPtr&)> walk =
-        [&](const TermPtr& t) {
-            const auto [it, fresh] = ids.emplace(t.get(), ids.size());
-            if (!fresh) {
-                hash = hashCombine(hash, 0xB0);
-                hash = hashCombine(hash, it->second);
-                return;
-            }
-            hash = hashCombine(hash, 0xB1);
-            hash = hashCombine(hash, static_cast<uint64_t>(t->op));
-            hash = hashCombine(hash, t->payload.hash());
-            hash = hashCombine(hash, t->children.size());
-            for (const TermPtr& child : t->children) {
-                walk(child);
-            }
-        };
-    walk(term);
-    return hash;
-}
-
-/** The AuOptions knobs that shape a shard's records (threads and the
- *  merge-level caps deliberately excluded). */
-uint64_t
-auOptionsFingerprint(const AuOptions& o)
-{
-    uint64_t h = mix64(0x61754f70ull);  // 'auOp'
-    h = hashCombine(h, static_cast<uint64_t>(o.sampling));
-    h = hashCombine(h, static_cast<uint64_t>(o.maxDepth));
-    h = hashCombine(h, o.maxPatternsPerPair);
-    h = hashCombine(h, o.minOps);
-    h = hashCombine(h, static_cast<uint64_t>(o.kdDims));
-    h = hashCombine(h, static_cast<uint64_t>(o.kdBeta));
-    h = hashCombine(h, o.maxCandidates);
-    return h;
-}
-
-/**
- * Mirror of AuShard's recursion that hashes -- instead of computing --
- * everything the shard's result depends on: the pair sequence with
- * class identities numbered in first-visit order (so absolute class ids
- * drop out and isomorphic chunks from different runs or workloads
- * collide on purpose), every depth/same-class/memo-hit/cycle event in
- * recursion order, the (op, payload, arity) of each matching e-node
- * pair, and the content-and-topology hash of each representative term a
- * same-class step returns.  Hole identities need no mirroring: they are
- * keyed by ordered class pairs (captured by the local ids) and
- * canonicalizeHoles renumbers them per pattern anyway.  Two chunks with
- * equal signatures therefore produce identical PairRecords under equal
- * options, which is what makes AuChunkCache replay sound.
- */
-class ChunkSigner {
- public:
-    ChunkSigner(const EGraph& egraph, const AuOptions& options,
-                const ClassMap<uint64_t>& reprHashes)
-        : egraph_(egraph), options_(options), reprHashes_(reprHashes)
-    {}
-
-    uint64_t
-    sign(const std::vector<std::pair<EClassId, EClassId>>& pairs,
-         size_t begin, size_t end)
-    {
-        hash_ = auOptionsFingerprint(options_);
-        feed(end - begin);
-        for (size_t i = begin; i < end; ++i) {
-            feed(kMarkPair);
-            visit(pairs[i].first, pairs[i].second, options_.maxDepth);
-        }
-        return hash_;
-    }
-
- private:
-    enum : uint64_t {
-        kMarkPair = 0xA1,
-        kMarkDepth0 = 0xA2,
-        kMarkSameRepr = 0xA3,
-        kMarkSameHole = 0xA4,
-        kMarkMemo = 0xA5,
-        kMarkCycle = 0xA6,
-        kMarkExpand = 0xA7,
-        kMarkNode = 0xA8,
-        kMarkEnd = 0xA9,
-    };
-
-    void feed(uint64_t v) { hash_ = hashCombine(hash_, v); }
-
-    uint64_t
-    localId(EClassId id)
-    {
-        const auto [it, fresh] = locals_.emplace(id, locals_.size());
-        return it->second;
-    }
-
-    void
-    visit(EClassId a, EClassId b, int depth)
-    {
-        a = egraph_.find(a);
-        b = egraph_.find(b);
-        if (depth <= 0) {
-            feed(kMarkDepth0);
-            feed(localId(a));
-            feed(localId(b));
-            return;
-        }
-        if (a == b) {
-            auto repr = reprHashes_.find(a);
-            if (repr != reprHashes_.end()) {
-                feed(kMarkSameRepr);
-                feed(localId(a));
-                feed(repr->second);
-            } else {
-                feed(kMarkSameHole);
-                feed(localId(a));
-            }
-            return;
-        }
-        const PairKey key{a, b};
-        // The shard memo is depth-oblivious (a memoized pair answers any
-        // later depth); the mirror must be too.
-        if (signed_.count(key) != 0) {
-            feed(kMarkMemo);
-            feed(localId(a));
-            feed(localId(b));
-            return;
-        }
-        if (inProgress_.count(key) != 0) {
-            feed(kMarkCycle);
-            feed(localId(a));
-            feed(localId(b));
-            return;
-        }
-        inProgress_.insert(key);
-        feed(kMarkExpand);
-        feed(localId(a));
-        feed(localId(b));
-        for (const ENode& na : egraph_.cls(a).nodes) {
-            for (const ENode& nb : egraph_.cls(b).nodes) {
-                if (na.op != nb.op || na.payload != nb.payload ||
-                    na.children.size() != nb.children.size() ||
-                    na.isLeaf()) {
-                    continue;
-                }
-                feed(kMarkNode);
-                feed(static_cast<uint64_t>(na.op));
-                feed(na.payload.hash());
-                feed(na.children.size());
-                for (size_t i = 0; i < na.children.size(); ++i) {
-                    visit(na.children[i], nb.children[i], depth - 1);
-                }
-            }
-        }
-        feed(kMarkEnd);
-        inProgress_.erase(key);
-        signed_.insert(key);
-    }
-
-    const EGraph& egraph_;
-    const AuOptions& options_;
-    const ClassMap<uint64_t>& reprHashes_;
-    uint64_t hash_ = 0;
-    std::unordered_map<EClassId, uint64_t> locals_;
-    std::unordered_set<PairKey, PairKeyHash> signed_;
-    std::unordered_set<PairKey, PairKeyHash> inProgress_;
 };
 
 /**
@@ -977,28 +795,6 @@ identifyPatterns(const EGraph& egraph, const AuOptions& options,
     }
     const SweepContext ctx{egraph, options, reprs};
 
-    // The chunk cache is consulted only when a replay is provably
-    // equivalent to a cold run: no deadline can cut a chunk short, no
-    // budget level can abort it, no fault site can fire inside it, and
-    // sampling is chunked (Exhaustive's single serial shard carries its
-    // abort point as part of the experiment).
-    AuChunkCache* const cache =
-        (options.chunkCache != nullptr &&
-         options.sampling != Sampling::Exhaustive &&
-         !fault::Registry::instance().enabled() &&
-         options.maxSeconds == kUnlimitedSeconds &&
-         options.maxSecondsPerPair == kUnlimitedSeconds &&
-         (budget == nullptr || budget->unconstrained()))
-            ? options.chunkCache
-            : nullptr;
-    ClassMap<uint64_t> reprHashes;
-    if (cache != nullptr) {
-        reprHashes.reserve(reprs.size());
-        for (const auto& [id, repr] : reprs) {
-            reprHashes[id] = topologyHash(repr);
-        }
-    }
-
     // Shard the pair list into fixed-size chunks and fan them across the
     // pool.  Exhaustive mode runs as a single serial shard: its global
     // candidate-budget abort point is order-dependent by design.
@@ -1013,41 +809,8 @@ identifyPatterns(const EGraph& egraph, const AuOptions& options,
                         "\"chunk\": " + std::to_string(c));
         const size_t begin = c * chunkSize;
         const size_t end = std::min(pairs.size(), (c + 1) * chunkSize);
-        uint64_t signature = 0;
-        if (cache != nullptr) {
-            ChunkSigner signer(egraph, options, reprHashes);
-            signature = signer.sign(pairs, begin, end);
-            if (const AuCachedChunk* hit = cache->lookup(signature)) {
-                // Replay: clone each pattern as a private uninterned DAG
-                // (within-pattern sharing preserved; downstream charges
-                // hardware per distinct pointer) and charge the budget
-                // exactly what the cold run charged, so parent budget
-                // accounting is identical.
-                ChunkOutcome replayed;
-                replayed.signature = signature;
-                replayed.replayed = true;
-                replayed.memoHits = hit->memoHits;
-                replayed.memoMisses = hit->memoMisses;
-                replayed.records.reserve(hit->pairs.size());
-                for (const AuCachedPair& pair : hit->pairs) {
-                    PairRecord rec;
-                    rec.rawCandidates = pair.rawCandidates;
-                    rec.patterns.reserve(pair.patterns.size());
-                    for (const TermPtr& p : pair.patterns) {
-                        rec.patterns.push_back(copyTopologyUninterned(p));
-                    }
-                    replayed.records.push_back(std::move(rec));
-                }
-                if (budget != nullptr && hit->units > 0) {
-                    budget->charge(hit->units);
-                }
-                outcomes[c] = std::move(replayed);
-                return;
-            }
-        }
         AuShard shard(ctx, budget);
         outcomes[c] = shard.runChunk(pairs, begin, end, stopFlag);
-        outcomes[c].signature = signature;
     };
     if (options.threads == 1 || numChunks <= 1) {
         for (size_t c = 0; c < numChunks; ++c) {
@@ -1058,46 +821,6 @@ identifyPatterns(const EGraph& egraph, const AuOptions& options,
     } else {
         ThreadPool pool(options.threads);
         pool.parallelFor(numChunks, runChunk);
-    }
-
-    // Feed the chunk cache: record every chunk that ran clean end to end
-    // (no stop, no abort, no skipped pair), and count the pairs that
-    // replayed chunks spared us.  Stored patterns share the shard's term
-    // DAGs; the cache owns them from here on.
-    if (cache != nullptr) {
-        size_t replayedPairs = 0;
-        for (size_t c = 0; c < numChunks; ++c) {
-            const ChunkOutcome& chunk = outcomes[c];
-            if (chunk.replayed) {
-                replayedPairs += chunk.records.size();
-                continue;
-            }
-            if (chunk.signature == 0 || chunk.stopped || chunk.aborted) {
-                continue;
-            }
-            bool clean = true;
-            AuCachedChunk cached;
-            cached.memoHits = chunk.memoHits;
-            cached.memoMisses = chunk.memoMisses;
-            cached.pairs.reserve(chunk.records.size());
-            for (const PairRecord& rec : chunk.records) {
-                if (rec.skipped) {
-                    clean = false;
-                    break;
-                }
-                AuCachedPair pair;
-                pair.rawCandidates = rec.rawCandidates;
-                pair.patterns = rec.patterns;
-                cached.units += rec.rawCandidates;
-                cached.pairs.push_back(std::move(pair));
-            }
-            if (clean) {
-                cache->store(chunk.signature, std::move(cached));
-            }
-        }
-        telemetry::Registry::instance()
-            .counter("corpus.skipped_pairs")
-            .add(replayedPairs);
     }
 
     // Telemetry per-shard records: what every chunk actually did,
@@ -1126,7 +849,6 @@ identifyPatterns(const EGraph& egraph, const AuOptions& options,
                 << ", \"skipped\": " << skipped
                 << ", \"stopped\": " << (chunk.stopped ? "true" : "false")
                 << ", \"aborted\": " << (chunk.aborted ? "true" : "false")
-                << ", \"replayed\": " << (chunk.replayed ? "true" : "false")
                 << "}";
             registry.appendRecord("au.shards", rec.str());
             registry.counter("au.pairs_explored").add(chunk.records.size());

@@ -15,6 +15,11 @@
  * (partition the child-feature space into 2^d cells and take beta evenly
  * spaced patterns per cell).  Exhaustive mode keeps everything and is
  * expected to blow the candidate budget on real inputs.
+ *
+ * Sharding: the pair list is cut into fixed-size chunks, each run by its
+ * own shard (memo, hole namespace, budget child) and merged in pair
+ * order, so the output does not depend on the thread count.  Every sweep
+ * computes every chunk; nothing is memoized across sweeps or runs.
  */
 #pragma once
 
@@ -32,47 +37,6 @@ enum class Sampling {
     Exhaustive,  ///< vanilla LLMT: full Cartesian products
     Boundary,    ///< keep the two extreme patterns per e-node pair
     KdTree,      ///< kd-cell stratified sampling
-};
-
-/** What one explored pair contributed to a cached chunk. */
-struct AuCachedPair {
-    size_t rawCandidates = 0;       ///< candidates the pair enumerated
-    std::vector<TermPtr> patterns;  ///< filtered, hole-canonical DAGs
-};
-
-/** One recorded AU chunk: a clean shard run, replayable verbatim. */
-struct AuCachedChunk {
-    std::vector<AuCachedPair> pairs;
-    size_t units = 0;      ///< budget charges the cold run made
-    size_t memoHits = 0;   ///< shard memo behaviour (telemetry parity)
-    size_t memoMisses = 0;
-};
-
-/**
- * Cross-run memo of AU chunk results, keyed by a 64-bit *trace
- * signature*: a structural hash of exactly the e-graph state the shard's
- * recursion observes (local class identities in first-visit order, node
- * ops/payloads/arities of matching e-node pairs, representative-term
- * content, memo/cycle/depth events) plus the sweep options.  Equal
- * signatures imply the cold run would reproduce the recorded records
- * byte for byte, so a hit skips the pair enumeration entirely -- across
- * runs, and across workloads whose chunks happen to be isomorphic.
- *
- * Implementations must keep returned chunk pointers stable for the
- * cache's lifetime (the sweep reads them from pool workers) and make
- * lookup/store safe to call concurrently.  The sweep only consults the
- * cache when the run is unconstrained and fault-free; see
- * identifyPatterns.
- */
-class AuChunkCache {
- public:
-    virtual ~AuChunkCache() = default;
-
-    /** The recorded chunk for @p signature, or nullptr. */
-    virtual const AuCachedChunk* lookup(uint64_t signature) const = 0;
-
-    /** Record a clean chunk (first store wins; later stores may drop). */
-    virtual void store(uint64_t signature, AuCachedChunk chunk) = 0;
 };
 
 /** Options for one anti-unification sweep. */
@@ -138,16 +102,6 @@ struct AuOptions {
      * candidate-budget abort point is part of the experiment.
      */
     size_t threads = 0;
-
-    /**
-     * Optional cross-run chunk memo (see AuChunkCache).  Consulted only
-     * when the sweep is unconstrained (no deadlines, an unconstrained
-     * budget chain, no armed faults) and sampling is not Exhaustive;
-     * replayed chunks are charged against the budget exactly as their
-     * cold runs were, so results and stats stay byte-identical.  Not
-     * part of the sweep's behavioural fingerprint.  Not owned.
-     */
-    AuChunkCache* chunkCache = nullptr;
 };
 
 /** Statistics from one AU sweep (feeds Table 2). */

@@ -351,14 +351,11 @@ corpusStatusJson(const SharedState& state)
     auto& registry = telemetry::Registry::instance();
     os << "{\"attached\": true, \"sections\": {\"patterns\": "
        << corpus->librarySize()
-       << ", \"chunks\": " << corpus->chunkCount()
        << ", \"results\": " << corpus->resultCount()
        << "}, \"hits\": " << registry.counter("corpus.hits").value()
        << ", \"misses\": " << registry.counter("corpus.misses").value()
        << ", \"crossHits\": "
        << registry.counter("corpus.cross_hits").value()
-       << ", \"skippedPairs\": "
-       << registry.counter("corpus.skipped_pairs").value()
        << ", \"pinnedNodes\": " << corpus->pinnedNodeCount() << "}";
     return os.str();
 }

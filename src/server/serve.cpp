@@ -544,7 +544,6 @@ serveLoop(std::istream& in, std::ostream& out, std::ostream& err,
             }
             err << "[isamore_serve] corpus: loaded " << options.corpusPath
                 << " (" << ctx.corpus->resultCount() << " results, "
-                << ctx.corpus->chunkCount() << " AU chunks, "
                 << ctx.corpus->librarySize() << " patterns)\n";
         } else if (options.corpusReadonly) {
             err << "[isamore_serve] error: --corpus-readonly with "

@@ -256,10 +256,11 @@ class SharedState {
     /**
      * Attach a shared persistent corpus (serve startup; may be null).
      * Analyze requests then run through the corpus warm-start path:
-     * result-cache hits skip the pipeline, AU chunks replay, and mined
-     * patterns accumulate -- all in memory.  Persisting the corpus to
-     * disk stays the serving loop's job (checkpoint saves at purge
-     * sweeps), which is how read-only mounts stay warm without writes.
+     * result-cache hits skip the pipeline, misses run it and store a
+     * clean result, and mined patterns accumulate -- all in memory.
+     * Persisting the corpus to disk stays the serving loop's job
+     * (checkpoint saves at purge sweeps), which is how read-only mounts
+     * stay warm without writes.
      * Requests that pin a thread count bypass the corpus entirely: their
      * point is to exercise the pipeline at that width.
      */

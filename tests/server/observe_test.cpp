@@ -443,10 +443,15 @@ TEST(ObservedServeTest, CorpusOpReportsSectionsWhenAttached)
     EXPECT_TRUE(corpus->find("attached")->boolean);
     const JsonValue* sections = corpus->find("sections");
     ASSERT_NE(sections, nullptr);
+    // The corpus holds two sections: the pattern library and results.
+    ASSERT_EQ(sections->members.size(), 2u);
+    EXPECT_NE(sections->find("patterns"), nullptr);
     // The analyze request populated the result cache at minimum.
     EXPECT_GE(sections->find("results")->number, 1.0);
     EXPECT_NE(corpus->find("pinnedNodes"), nullptr);
     EXPECT_NE(corpus->find("hits"), nullptr);
+    EXPECT_NE(corpus->find("misses"), nullptr);
+    EXPECT_NE(corpus->find("crossHits"), nullptr);
     std::filesystem::remove(path);
 }
 

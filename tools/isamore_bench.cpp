@@ -6,35 +6,18 @@
  * Usage:
  *   isamore_bench [--workloads <a,b,c>] [--reps <n>] [--threads <n>]
  *                 [--out <path>] [--baseline <path>] [--check-identical]
- *                 [--min-ematch-speedup <x>]
- *                 [--min-au-speedup <x>]
  *
  * Per workload and repetition, the pipeline's stages are timed
  * independently:
  *   - eqsat:    equality saturation of the encoded e-graph with the
  *               integer saturating ruleset
- *   - ematch:   one full-ruleset search pass over the saturated graph,
- *               naive (legacy backtracking matcher, whole-graph scan)
- *               vs compiled (pattern VM seeded from the op index); both
- *               engines must agree on the match count, and
- *               --min-ematch-speedup <x> fails the run (exit 1) when
- *               median(naive)/median(compiled) drops below x on any
- *               selected workload
  *   - au:       the anti-unification pair sweep over the saturated graph
- *   - au_term:  the AU sweep's term-layer churn (candidate construction,
- *               dedup, registry keying) replayed on the workload's class
- *               representatives, legacy (fresh tree nodes, recursive
- *               hash/equality, termToString registry keys) vs interned
- *               (hash-consed makeTerm, cached hashes, canonical-pointer
- *               keys); both sides must agree on the unique-pattern
- *               count, and --min-au-speedup <x> fails the run (exit 1)
- *               when median(legacy)/median(interned) drops below x
  *   - pipeline: the full identifyInstructions run (includes selection)
  *   - corpus:   (--corpus-bench) the persistent-corpus warm-start path:
  *               the full pipeline against a fresh empty corpus (cold,
- *               pays the memo-store overhead) vs against a corpus
- *               populated by a prior run of the same build (warm,
- *               result-cache hit).  Warm output must be byte-identical
+ *               a result-cache miss) vs against a corpus populated by
+ *               a prior run of the same build (warm, result-cache
+ *               hit).  Warm output must be byte-identical
  *               to cold modulo wall-clock (exit 1 otherwise), and
  *               --min-corpus-speedup <x> fails the run (exit 1) when
  *               median(cold)/median(warm) drops below x on any selected
@@ -82,15 +65,10 @@
 #include <sstream>
 #include <string>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "corpus/corpus.hpp"
 #include "corpus/warm.hpp"
-#include "dsl/intern.hpp"
-#include "egraph/ematch_program.hpp"
-#include "egraph/extract.hpp"
 #include "egraph/rewrite.hpp"
 #include "isamore/isamore.hpp"
 #include "isamore/report.hpp"
@@ -158,11 +136,7 @@ pairedOverheadRatio(const StageTiming& a, const StageTiming& b)
 struct WorkloadReport {
     std::string name;
     StageTiming eqsat;
-    StageTiming ematchNaive;
-    StageTiming ematchCompiled;
     StageTiming au;
-    StageTiming auTermLegacy;
-    StageTiming auTermInterned;
     StageTiming pipeline;
     StageTiming serveCold;
     StageTiming serveWarm;
@@ -176,7 +150,6 @@ struct WorkloadReport {
     bool corpusBenched = false;
     /** Warm corpus result byte-identical to cold modulo wall-clock. */
     bool corpusIdentical = true;
-    size_t auTermUnique = 0;
     size_t auPatterns = 0;
     size_t rawCandidates = 0;
     size_t frontSize = 0;
@@ -258,16 +231,8 @@ writeReport(std::ostream& os, const std::vector<WorkloadReport>& reports,
            << "     \"stages\": {\n"
            << "       \"eqsat\": ";
         writeSamples(os, r.eqsat);
-        os << ",\n       \"ematch_naive\": ";
-        writeSamples(os, r.ematchNaive);
-        os << ",\n       \"ematch_compiled\": ";
-        writeSamples(os, r.ematchCompiled);
         os << ",\n       \"au\": ";
         writeSamples(os, r.au);
-        os << ",\n       \"au_term_legacy\": ";
-        writeSamples(os, r.auTermLegacy);
-        os << ",\n       \"au_term_interned\": ";
-        writeSamples(os, r.auTermInterned);
         os << ",\n       \"pipeline\": ";
         writeSamples(os, r.pipeline);
         if (r.serveBenched) {
@@ -287,13 +252,9 @@ writeReport(std::ostream& os, const std::vector<WorkloadReport>& reports,
             writeSamples(os, r.corpusWarm);
         }
         os << "\n     },\n"
-           << "     \"ematch_speedup\": "
-           << r.ematchNaive.median() /
-                  std::max(r.ematchCompiled.median(), 1e-6)
-           << ",\n     \"au_term_speedup\": "
-           << r.auTermLegacy.median() /
-                  std::max(r.auTermInterned.median(), 1e-6)
-           << ",\n     \"au_term_unique\": " << r.auTermUnique;
+           << "     \"au_patterns\": " << r.auPatterns
+           << ", \"raw_candidates\": " << r.rawCandidates
+           << ", \"front_size\": " << r.frontSize;
         if (r.serveBenched) {
             os << ",\n     \"serve_speedup\": "
                << r.serveCold.median() /
@@ -309,9 +270,6 @@ writeReport(std::ostream& os, const std::vector<WorkloadReport>& reports,
                << ",\n     \"corpus_warm_identical\": "
                << (r.corpusIdentical ? "true" : "false");
         }
-        os << ",\n     \"au_patterns\": " << r.auPatterns
-           << ", \"raw_candidates\": " << r.rawCandidates
-           << ", \"front_size\": " << r.frontSize;
         if (r.identicalChecked) {
             os << ",\n     \"identical_serial_parallel\": "
                << (r.identical ? "true" : "false");
@@ -338,56 +296,6 @@ stripWallClock(const std::string& json)
     }
     return out.str();
 }
-
-/**
- * The candidate stream the AU sweep's term layer sees: every subterm of
- * every cheap class representative, per-representative deduplicated only
- * -- structures shared between representatives repeat in the stream,
- * which is exactly the duplicate pressure the dedup/registry stages
- * absorb in the real sweep.  Each candidate is delivered as a fresh
- * uninterned tree so both term-layer variants start from the same
- * un-canonicalized input.
- */
-std::vector<TermPtr>
-auCandidateStream(const EGraph& egraph)
-{
-    std::vector<TermPtr> stream;
-    Extractor extractor(egraph, astSizeCost);
-    for (EClassId id : egraph.classIds()) {
-        if (auto cost = extractor.costOf(id);
-            !cost.has_value() || *cost > 12.0) {
-            continue;
-        }
-        TermPtr rep = extractor.extract(id).term;
-        std::unordered_set<const Term*> seen;
-        std::vector<TermPtr> stack{rep};
-        while (!stack.empty()) {
-            TermPtr t = stack.back();
-            stack.pop_back();
-            if (!seen.insert(t.get()).second) {
-                continue;
-            }
-            stream.push_back(copyTopologyUninterned(t));
-            for (const auto& child : t->children) {
-                stack.push_back(child);
-            }
-        }
-    }
-    return stream;
-}
-
-struct DeepTermHash {
-    size_t operator()(const TermPtr& t) const
-    {
-        return static_cast<size_t>(termHashDeep(t));
-    }
-};
-struct DeepTermEq {
-    bool operator()(const TermPtr& a, const TermPtr& b) const
-    {
-        return termEqualsDeep(a, b);
-    }
-};
 
 /** A synthetic analyze request for the in-process serve stage. */
 server::Request
@@ -535,11 +443,7 @@ printBaselineDeltas(const std::vector<WorkloadReport>& reports,
         const std::vector<std::pair<std::string, const StageTiming*>>
             current{
                 {"eqsat", &r.eqsat},
-                {"ematch_naive", &r.ematchNaive},
-                {"ematch_compiled", &r.ematchCompiled},
                 {"au", &r.au},
-                {"au_term_legacy", &r.auTermLegacy},
-                {"au_term_interned", &r.auTermInterned},
                 {"pipeline", &r.pipeline},
                 {"serve_cold", &r.serveCold},
                 {"serve_warm", &r.serveWarm},
@@ -576,8 +480,6 @@ usage()
     std::cerr << "usage: isamore_bench [--workloads <a,b,c>] [--reps <n>]"
                  " [--threads <n>] [--out <path>] [--baseline <path>]"
                  " [--check-identical]"
-                 " [--min-ematch-speedup <x>]"
-                 " [--min-au-speedup <x>]"
                  " [--serve-bench]"
                  " [--min-serve-speedup <x>] [--max-observe-overhead <x>]"
                  " [--corpus-bench]"
@@ -598,8 +500,6 @@ main(int argc, char** argv)
     bool serveBench = false;
     bool corpusBench = false;
     std::string corpusOutPath;
-    double minEmatchSpeedup = 0.0;
-    double minAuSpeedup = 0.0;
     double minServeSpeedup = 0.0;
     double maxObserveOverhead = 0.0;
     double minCorpusSpeedup = 0.0;
@@ -625,16 +525,6 @@ main(int argc, char** argv)
             baselinePath = argv[++i];
         } else if (flag == "--check-identical") {
             checkIdentical = true;
-        } else if (flag == "--min-ematch-speedup" && i + 1 < argc) {
-            minEmatchSpeedup = std::strtod(argv[++i], nullptr);
-            if (minEmatchSpeedup <= 0.0) {
-                return usage();
-            }
-        } else if (flag == "--min-au-speedup" && i + 1 < argc) {
-            minAuSpeedup = std::strtod(argv[++i], nullptr);
-            if (minAuSpeedup <= 0.0) {
-                return usage();
-            }
         } else if (flag == "--serve-bench") {
             serveBench = true;
         } else if (flag == "--min-serve-speedup" && i + 1 < argc) {
@@ -701,11 +591,6 @@ main(int argc, char** argv)
         const AnalyzedWorkload analyzed =
             analyzeWorkload(std::move(*workload));
         const std::vector<RewriteRule> searchRules = library.intSat();
-        std::vector<PatternProgram> programs;
-        programs.reserve(searchRules.size());
-        for (const RewriteRule& rule : searchRules) {
-            programs.push_back(PatternProgram::compile(rule.lhs));
-        }
 
         for (size_t rep = 0; rep < reps; ++rep) {
             // Stage 1: EqSat on a fresh copy of the encoded e-graph.
@@ -713,95 +598,12 @@ main(int argc, char** argv)
             Stopwatch watch;
             runEqSat(egraph, searchRules, config.eqsat);
             report.eqsat.samplesMs.push_back(watch.seconds() * 1e3);
-            // Stage 1b: full-ruleset search passes over the saturated
-            // graph, old engine vs new, serially (the engines themselves,
-            // not the fan-out, are under test).  A single pass is tens of
-            // microseconds on the small workloads, so each sample times a
-            // small batch of passes to stay above timer/cold-cache noise.
-            const size_t cap = config.eqsat.maxMatchesPerRule;
-            constexpr size_t kEmatchPasses = 8;
-            watch.reset();
-            size_t naiveMatches = 0;
-            for (size_t pass = 0; pass < kEmatchPasses; ++pass) {
-                naiveMatches = 0;
-                for (const RewriteRule& rule : searchRules) {
-                    naiveMatches +=
-                        ematchAllLegacy(egraph, rule.lhs, cap).size();
-                }
-            }
-            report.ematchNaive.samplesMs.push_back(watch.seconds() * 1e3 /
-                                                   kEmatchPasses);
-            watch.reset();
-            size_t compiledMatches = 0;
-            for (size_t pass = 0; pass < kEmatchPasses; ++pass) {
-                compiledMatches = 0;
-                for (const PatternProgram& program : programs) {
-                    compiledMatches +=
-                        searchPattern(egraph, program, cap).matches.size();
-                }
-            }
-            report.ematchCompiled.samplesMs.push_back(watch.seconds() * 1e3 /
-                                                      kEmatchPasses);
-            ISAMORE_CHECK_MSG(naiveMatches == compiledMatches,
-                              "e-match engines disagree on " + name);
-
             // Stage 2: the AU pair sweep over the saturated graph.
             watch.reset();
             rii::AuResult au = rii::identifyPatterns(egraph, config.au);
             report.au.samplesMs.push_back(watch.seconds() * 1e3);
             report.auPatterns = au.patterns.size();
             report.rawCandidates = au.stats.rawCandidates;
-
-            // Stage 2b: the sweep's term layer, legacy vs interned, on
-            // an identical uninterned candidate stream.  Both variants
-            // construct each candidate from the stream (the sweep
-            // builds every candidate it considers): legacy allocates a
-            // fresh tree and pays recursive hashing/equality for dedup
-            // plus a termToString key per survivor (the pre-interner
-            // registry); interned canonicalizes through the hash-cons
-            // table, after which dedup and registry keying are pointer
-            // operations.  Small per-pass cost, so each sample batches
-            // a few passes.
-            const std::vector<TermPtr> stream = auCandidateStream(egraph);
-            constexpr size_t kTermPasses = 4;
-            size_t legacyUnique = 0;
-            watch.reset();
-            for (size_t pass = 0; pass < kTermPasses; ++pass) {
-                std::unordered_set<TermPtr, DeepTermHash, DeepTermEq> dedup;
-                std::map<std::string, int64_t> registryKeys;
-                for (const TermPtr& t : stream) {
-                    TermPtr built = copyTopologyUninterned(t);
-                    if (dedup.insert(built).second) {
-                        registryKeys.emplace(
-                            termToString(built),
-                            static_cast<int64_t>(registryKeys.size()));
-                    }
-                }
-                legacyUnique = registryKeys.size();
-            }
-            report.auTermLegacy.samplesMs.push_back(watch.seconds() * 1e3 /
-                                                    kTermPasses);
-            size_t internedUnique = 0;
-            watch.reset();
-            for (size_t pass = 0; pass < kTermPasses; ++pass) {
-                std::unordered_set<const Term*> dedup;
-                std::unordered_map<const Term*, int64_t> registryKeys;
-                for (const TermPtr& t : stream) {
-                    TermPtr canon = internTerm(t);
-                    if (dedup.insert(canon.get()).second) {
-                        registryKeys.emplace(
-                            canon.get(),
-                            static_cast<int64_t>(registryKeys.size()));
-                    }
-                }
-                internedUnique = registryKeys.size();
-            }
-            report.auTermInterned.samplesMs.push_back(
-                watch.seconds() * 1e3 / kTermPasses);
-            ISAMORE_CHECK_MSG(legacyUnique == internedUnique,
-                              "term-layer dedup counts disagree on " +
-                                  name);
-            report.auTermUnique = internedUnique;
 
             // Stage 3: the full pipeline (includes selection).
             watch.reset();
@@ -980,7 +782,7 @@ main(int argc, char** argv)
         if (corpusBench) {
             // Stage 5: persistent-corpus warm-start.  Cold = the full
             // pipeline against a fresh empty corpus, so every rep pays
-            // the AU-chunk/result store overhead a first-ever run pays;
+            // the result-store overhead a first-ever run pays;
             // warm = the same run against the shared corpus a prior
             // (untimed) run populated, which is the result-cache hit a
             // daemon restart or repeated CI invocation serves.  The warm
@@ -1030,7 +832,6 @@ main(int argc, char** argv)
         sharedCorpus.save(corpusOutPath, library);
         std::cerr << "corpus: saved " << corpusOutPath << " ("
                   << sharedCorpus.resultCount() << " results, "
-                  << sharedCorpus.chunkCount() << " AU chunks, "
                   << sharedCorpus.librarySize() << " patterns)\n";
     }
 
@@ -1045,45 +846,6 @@ main(int argc, char** argv)
 
     if (checkIdentical && !allIdentical) {
         return 1;
-    }
-    if (minEmatchSpeedup > 0.0) {
-        bool fastEnough = true;
-        for (const WorkloadReport& r : reports) {
-            const double speedup = r.ematchNaive.median() /
-                                   std::max(r.ematchCompiled.median(), 1e-6);
-            std::cerr << "ematch " << r.name << ": naive "
-                      << r.ematchNaive.median() << " ms, compiled "
-                      << r.ematchCompiled.median() << " ms -> " << speedup
-                      << "x\n";
-            if (speedup < minEmatchSpeedup) {
-                std::cerr << "FAIL: below the " << minEmatchSpeedup
-                          << "x e-match speedup floor\n";
-                fastEnough = false;
-            }
-        }
-        if (!fastEnough) {
-            return 1;
-        }
-    }
-    if (minAuSpeedup > 0.0) {
-        bool fastEnough = true;
-        for (const WorkloadReport& r : reports) {
-            const double speedup =
-                r.auTermLegacy.median() /
-                std::max(r.auTermInterned.median(), 1e-6);
-            std::cerr << "au-term " << r.name << ": legacy "
-                      << r.auTermLegacy.median() << " ms, interned "
-                      << r.auTermInterned.median() << " ms -> " << speedup
-                      << "x\n";
-            if (speedup < minAuSpeedup) {
-                std::cerr << "FAIL: below the " << minAuSpeedup
-                          << "x AU term-layer speedup floor\n";
-                fastEnough = false;
-            }
-        }
-        if (!fastEnough) {
-            return 1;
-        }
     }
     if (minServeSpeedup > 0.0) {
         bool fastEnough = true;

@@ -37,9 +37,10 @@
  *
  * `--corpus <path>` loads a persistent pattern corpus before the run
  * (starting empty if the file does not exist yet) and saves it back
- * afterwards, warm-starting this and future runs: cached results,
- * memoized AU chunks, and the cross-workload pattern
- * library (see src/corpus/warm.hpp).  `--corpus-readonly` consults the
+ * afterwards, warm-starting this and future runs: an unchanged request
+ * replays its cached result, and a changed one runs the plain pipeline
+ * and feeds the cross-workload pattern library (see
+ * src/corpus/warm.hpp).  `--corpus-readonly` consults the
  * corpus without writing the file (and makes a missing file an error);
  * `--corpus-seed` additionally injects patterns mined from *other*
  * workloads as candidates -- output-changing, so never used on
@@ -134,7 +135,9 @@ printUsage(std::ostream& os)
        << "  --mode <m>         default | astsize | kdsample | vector | "
           "noeqsat | llmt\n"
        << "  --corpus <path>    load the persistent corpus (created if "
-          "missing) and save it back\n"
+          "missing) and save it back;\n"
+       << "                     it caches whole results and keeps a "
+          "pattern library\n"
        << "  --corpus-readonly  never write the corpus file back "
           "(missing file becomes an error)\n"
        << "  --corpus-seed      seed candidates from other workloads' "
@@ -311,7 +314,6 @@ runCommand(int argc, char** argv)
             corpusStore->load(corpus_path, library);
             std::cerr << "corpus: loaded " << corpus_path << " ("
                       << corpusStore->resultCount() << " results, "
-                      << corpusStore->chunkCount() << " AU chunks, "
                       << corpusStore->librarySize() << " patterns)\n";
         } else {
             ISAMORE_USER_CHECK(!corpus_readonly,
