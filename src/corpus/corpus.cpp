@@ -4,6 +4,7 @@
 #include <cstring>
 #include <functional>
 #include <sstream>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "dsl/intern.hpp"
@@ -13,9 +14,8 @@ namespace isamore {
 namespace corpus {
 namespace {
 
-/** Entry caps: stores past these are refused (never evicted, so result
+/** Entry cap: stores past it are refused (never evicted, so result
  *  pointers handed out by findResult stay valid for the corpus lifetime). */
-constexpr size_t kMaxLibrary = 4096;
 constexpr size_t kMaxResults = 256;
 
 /** Pool id for a null TermPtr. */
@@ -555,10 +555,6 @@ configFingerprint(const rii::RiiConfig& config)
     h = hashCombine(h, config.budget.maxRssBytes);
     h = hashCombine(h, doubleBits(config.invokeOverheadNs));
     h = hashCombine(h, config.maxCostedCandidates);
-    h = hashCombine(h, config.seedPatterns.size());
-    for (const TermPtr& seed : config.seedPatterns) {
-        h = hashCombine(h, termHashDeep(seed));
-    }
     return h;
 }
 
@@ -590,62 +586,30 @@ Corpus::load(const std::string& path, const rules::RulesetLibrary& rules)
 
     // Parse everything into locals; state swaps in only after the whole
     // file validated (the no-partial-loads contract).
-    std::vector<LibraryEntry> library;
-    std::unordered_map<const Term*, size_t> libraryIndex;
     std::map<std::string, std::unique_ptr<CachedResult>> results;
 
     for (const auto& [tag, payload] : sections) {
-        ByteReader in(payload, what.c_str());
-        switch (tag) {
-          case SectionTag::Library: {
-            const TermPoolReader pool =
-                TermPoolReader::deserialize(in, what);
-            const uint32_t count = in.u32();
-            in.checkCount(count, 16);
-            for (uint32_t i = 0; i < count; ++i) {
-                LibraryEntry entry;
-                entry.body = pool.get(in.u32(), what);
-                if (entry.body == nullptr) {
-                    throw UserError(what + ": null library body");
-                }
-                entry.workload = in.str();
-                entry.seen = in.u64();
-                entry.canonical = internTerm(entry.body);
-                if (libraryIndex.count(entry.canonical.get()) != 0) {
-                    throw UserError(what + ": duplicate library body");
-                }
-                libraryIndex.emplace(entry.canonical.get(),
-                                     library.size());
-                library.push_back(std::move(entry));
-            }
-            break;
-          }
-          case SectionTag::Results: {
-            const TermPoolReader pool =
-                TermPoolReader::deserialize(in, what);
-            const uint32_t count = in.u32();
-            in.checkCount(count, 8);
-            for (uint32_t i = 0; i < count; ++i) {
-                std::string key = in.str();
-                auto result = std::make_unique<CachedResult>(
-                    readCachedResult(in, pool, what));
-                if (!results.emplace(std::move(key), std::move(result))
-                         .second) {
-                    throw UserError(what + ": duplicate result key");
-                }
-            }
-            break;
-          }
-          default:
+        if (tag != SectionTag::Results) {
             throw UserError(what + ": unknown section tag " +
                             std::to_string(static_cast<uint32_t>(tag)));
+        }
+        ByteReader in(payload, what.c_str());
+        const TermPoolReader pool = TermPoolReader::deserialize(in, what);
+        const uint32_t count = in.u32();
+        in.checkCount(count, 8);
+        for (uint32_t i = 0; i < count; ++i) {
+            std::string key = in.str();
+            auto result = std::make_unique<CachedResult>(
+                readCachedResult(in, pool, what));
+            if (!results.emplace(std::move(key), std::move(result))
+                     .second) {
+                throw UserError(what + ": duplicate result key");
+            }
         }
         in.expectEnd();
     }
 
     std::lock_guard<std::mutex> lock(mutex_);
-    library_ = std::move(library);
-    libraryIndex_ = std::move(libraryIndex);
     results_ = std::move(results);
     dirty_ = false;
 }
@@ -653,37 +617,18 @@ Corpus::load(const std::string& path, const rules::RulesetLibrary& rules)
 std::string
 Corpus::serializeLocked(const rules::RulesetLibrary& rules) const
 {
-    std::vector<std::pair<SectionTag, std::string>> sections;
-
-    {
-        TermPoolWriter pool;
-        ByteWriter body;
-        body.u32(static_cast<uint32_t>(library_.size()));
-        for (const LibraryEntry& entry : library_) {
-            body.u32(pool.id(entry.body));
-            body.str(entry.workload);
-            body.u64(entry.seen);
-        }
-        ByteWriter out;
-        pool.serialize(out);
-        out.bytes(body.take());
-        sections.emplace_back(SectionTag::Library, out.take());
+    TermPoolWriter pool;
+    ByteWriter body;
+    body.u32(static_cast<uint32_t>(results_.size()));
+    for (const auto& [key, result] : results_) {
+        body.str(key);
+        writeCachedResult(body, pool, *result);
     }
-    {
-        TermPoolWriter pool;
-        ByteWriter body;
-        body.u32(static_cast<uint32_t>(results_.size()));
-        for (const auto& [key, result] : results_) {
-            body.str(key);
-            writeCachedResult(body, pool, *result);
-        }
-        ByteWriter out;
-        pool.serialize(out);
-        out.bytes(body.take());
-        sections.emplace_back(SectionTag::Results, out.take());
-    }
+    ByteWriter out;
+    pool.serialize(out);
+    out.bytes(body.take());
     return frameFile(rulesFingerprint(rules), opSchemaFingerprint(),
-                     sections);
+                     {{SectionTag::Results, out.take()}});
 }
 
 void
@@ -703,61 +648,6 @@ Corpus::dirty() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return dirty_;
-}
-
-size_t
-Corpus::recordMined(const std::string& workload,
-                    const std::vector<TermPtr>& bodies)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    size_t crossHits = 0;
-    for (const TermPtr& body : bodies) {
-        if (body == nullptr) {
-            continue;
-        }
-        const TermPtr canonical = internTerm(body);
-        const auto it = libraryIndex_.find(canonical.get());
-        if (it != libraryIndex_.end()) {
-            LibraryEntry& entry = library_[it->second];
-            ++entry.seen;
-            if (entry.workload != workload) {
-                ++crossHits;
-            }
-            dirty_ = true;
-            continue;
-        }
-        if (library_.size() >= kMaxLibrary) {
-            continue;
-        }
-        LibraryEntry entry;
-        entry.body = body;
-        entry.canonical = canonical;
-        entry.workload = workload;
-        libraryIndex_.emplace(canonical.get(), library_.size());
-        library_.push_back(std::move(entry));
-        dirty_ = true;
-    }
-    return crossHits;
-}
-
-std::vector<TermPtr>
-Corpus::seedPatterns(const std::string& workload) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<TermPtr> seeds;
-    for (const LibraryEntry& entry : library_) {
-        if (entry.workload != workload) {
-            seeds.push_back(entry.body);
-        }
-    }
-    return seeds;
-}
-
-size_t
-Corpus::librarySize() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return library_.size();
 }
 
 const CachedResult*
@@ -805,10 +695,6 @@ Corpus::pinnedNodeCount() const
                 walk(child);
             }
         };
-    for (const LibraryEntry& entry : library_) {
-        walk(entry.body);
-        walk(entry.canonical);
-    }
     for (const auto& [key, result] : results_) {
         for (const TermPtr& body : result->registryBodies) {
             walk(body);

@@ -1,15 +1,13 @@
 /**
  * @file
- * Persistent pattern corpus: cross-run and cross-workload result caching.
+ * Persistent result corpus: cross-run caching of full analysis results.
  *
- * A Corpus accumulates, across analysis runs, two things:
- *
- *  - the **pattern library**: every costed pattern body ever mined, with
- *    the workload that first produced it, so patterns mined from one
- *    workload can seed candidate generation for another;
- *  - **full analysis results** keyed by (workload, program, mode, rules,
- *    config) fingerprints, so an unchanged request skips the pipeline
- *    entirely.
+ * A Corpus keeps one kind of state: **full analysis results** keyed by
+ * (workload, program, mode, rules, config) fingerprints, so an unchanged
+ * request skips the pipeline entirely.  Reuse *across* programs is the
+ * analysis's own job -- one e-graph per workload, anti-unified as a
+ * whole (a library module or `all` is one workload) -- so the corpus
+ * never replays patterns into another workload's run.
  *
  * Determinism contract: a warm run that hits the corpus produces output
  * byte-identical to the cold run it replaces (modulo the "seconds"
@@ -17,15 +15,14 @@
  * pipeline.  The pieces that guarantee it: results are only stored from
  * non-degraded, unconstrained, fault-free runs, and the file frame
  * refuses any corpus written by a build with different rewrite rules or
- * operators.  Library seeding (RiiConfig::seedPatterns) is the one
- * deliberately output-changing feature and is opt-in via --corpus-seed.
+ * operators.
  *
  * Concurrency: every method takes an internal mutex; CachedResult
  * pointers returned by findResult() stay valid for the corpus's lifetime
  * (entries are never erased, only refused past a cap).  Terms held by
  * the corpus are strong TermPtr references, which is what pins their
  * interned nodes across internPurge(): the interner only drops nodes
- * with no outside reference, so corpus-held patterns survive server
+ * with no outside reference, so corpus-held results survive server
  * purge sweeps by construction (see pinnedNodeCount()).
  */
 #pragma once
@@ -34,7 +31,6 @@
 #include <mutex>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "corpus/format.hpp"
@@ -44,16 +40,6 @@
 
 namespace isamore {
 namespace corpus {
-
-/** One accumulated library pattern. */
-struct LibraryEntry {
-    TermPtr body;          ///< scheduling view (topology-preserving DAG)
-    /** Interned canonical form; the strong reference keeps the raw
-     *  pointer used as the library index key valid across purges. */
-    TermPtr canonical;
-    std::string workload;  ///< workload that first mined it
-    uint64_t seen = 1;     ///< runs that re-mined it (any workload)
-};
 
 /**
  * A full analysis result in storable form: RiiResult minus the base
@@ -89,8 +75,7 @@ uint64_t programFingerprint(const AnalyzedWorkload& analyzed);
 
 /**
  * Hash of every RiiConfig field that shapes pipeline output.  Excludes
- * au.threads (the thread count is behaviour-invariant) but includes seed
- * patterns (seeding widens the candidate set).
+ * au.threads (the thread count is behaviour-invariant).
  */
 uint64_t configFingerprint(const rii::RiiConfig& config);
 
@@ -128,29 +113,6 @@ class Corpus {
 
     /** @} */
 
-    /** @name Pattern library
-     *  @{ */
-
-    /**
-     * Record the patterns a run of @p workload put on its Pareto front.
-     * @p bodies are registry scheduling views.  Returns the number of
-     * *cross hits*: bodies already in the library from a different
-     * workload (the cross-workload matching signal).
-     */
-    size_t recordMined(const std::string& workload,
-                       const std::vector<TermPtr>& bodies);
-
-    /**
-     * Library bodies first mined by workloads other than @p workload,
-     * in recording order -- the seed set for RiiConfig::seedPatterns.
-     */
-    std::vector<TermPtr>
-    seedPatterns(const std::string& workload) const;
-
-    size_t librarySize() const;
-
-    /** @} */
-
     /** @name Full results
      *  @{ */
 
@@ -166,7 +128,7 @@ class Corpus {
     /** @} */
 
     /**
-     * Distinct interned term nodes reachable from corpus-held patterns
+     * Distinct interned term nodes reachable from corpus-held results
      * -- the nodes the corpus's strong references pin across
      * internPurge() (surfaced as the server.corpus_pinned_nodes gauge).
      */
@@ -177,9 +139,6 @@ class Corpus {
 
     mutable std::mutex mutex_;
     bool dirty_ = false;
-    std::vector<LibraryEntry> library_;
-    /** Interned canonical body -> library_ index. */
-    std::unordered_map<const Term*, size_t> libraryIndex_;
     std::map<std::string, std::unique_ptr<CachedResult>> results_;
 };
 

@@ -33,12 +33,11 @@ namespace corpus {
 inline constexpr char kMagic[8] = {'I', 'S', 'A', 'M', 'C', 'R', 'P', '\n'};
 
 /** Bumped on any incompatible layout change; old files are refused. */
-inline constexpr uint32_t kFormatVersion = 3;
+inline constexpr uint32_t kFormatVersion = 4;
 
-/** Section tags (u32, stable; 1, 3 and 5 belonged to retired sections
- *  and are refused as unknown). */
+/** Section tags (u32, stable; 1, 2, 3 and 5 belonged to retired
+ *  sections and are refused as unknown). */
 enum class SectionTag : uint32_t {
-    Library = 2,  ///< accumulated cross-workload pattern library
     Results = 4,  ///< full analysis results keyed by analysis key
 };
 

@@ -312,7 +312,7 @@ runRii(const frontend::EncodedProgram& program,
             std::vector<PatternEval> costed;
             {
                 TELEM_SPAN("rii.cost", "rii");
-                auto costOne = [&](const TermPtr& p) {
+                for (const TermPtr& p : au.patterns) {
                     try {
                         int64_t id = result.registry.add(p);
                         costed.push_back(cost.evaluate(id, work.egraph));
@@ -321,17 +321,6 @@ runRii(const frontend::EncodedProgram& program,
                     } catch (const std::bad_alloc&) {
                         ++diag.skippedPatterns;
                     }
-                };
-                // Corpus-seeded candidates enter once, ahead of the first
-                // phase's own crop, and then compete on cost like any
-                // mined pattern.
-                if (phase == 0) {
-                    for (const TermPtr& p : config.seedPatterns) {
-                        costOne(p);
-                    }
-                }
-                for (const TermPtr& p : au.patterns) {
-                    costOne(p);
                 }
             }
             std::sort(costed.begin(), costed.end(),

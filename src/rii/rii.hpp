@@ -83,17 +83,6 @@ struct RiiConfig {
     /** Candidates kept for selection (<= 64). */
     size_t maxCostedCandidates = 48;
 
-    /**
-     * Extra candidate patterns injected into the first phase, before the
-     * phase's own AU sweep: each is registered and costed against this
-     * workload exactly like a mined candidate, which is how a corpus's
-     * accumulated library cross-matches patterns mined from one workload
-     * against another.  Opt-in (empty by default): seeds widen the
-     * candidate set, so a seeded run's output is *not* comparable to an
-     * unseeded one -- never enable on golden-checked runs.
-     */
-    std::vector<TermPtr> seedPatterns;
-
     RiiConfig()
     {
         au.maxResultPatterns = 300;

@@ -349,13 +349,10 @@ corpusStatusJson(const SharedState& state)
         return os.str();
     }
     auto& registry = telemetry::Registry::instance();
-    os << "{\"attached\": true, \"sections\": {\"patterns\": "
-       << corpus->librarySize()
-       << ", \"results\": " << corpus->resultCount()
+    os << "{\"attached\": true, \"sections\": {\"results\": "
+       << corpus->resultCount()
        << "}, \"hits\": " << registry.counter("corpus.hits").value()
        << ", \"misses\": " << registry.counter("corpus.misses").value()
-       << ", \"crossHits\": "
-       << registry.counter("corpus.cross_hits").value()
        << ", \"pinnedNodes\": " << corpus->pinnedNodeCount() << "}";
     return os.str();
 }

@@ -543,8 +543,7 @@ serveLoop(std::istream& in, std::ostream& out, std::ostream& err,
                 return 3;
             }
             err << "[isamore_serve] corpus: loaded " << options.corpusPath
-                << " (" << ctx.corpus->resultCount() << " results, "
-                << ctx.corpus->librarySize() << " patterns)\n";
+                << " (" << ctx.corpus->resultCount() << " results)\n";
         } else if (options.corpusReadonly) {
             err << "[isamore_serve] error: --corpus-readonly with "
                    "missing corpus file: "

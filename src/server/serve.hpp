@@ -53,7 +53,7 @@ struct ServeOptions {
      * Loaded before the lanes start (a corrupt file refuses startup,
      * exit 3; a missing file starts empty unless read-only) and saved
      * back -- atomic rename -- at every purge-sweep checkpoint and at
-     * shutdown, when dirty.  Corpus-held patterns pin their interned
+     * shutdown, when dirty.  Corpus-held results pin their interned
      * nodes across internPurge() by holding strong references.
      */
     std::string corpusPath;

@@ -257,7 +257,7 @@ class SharedState {
      * Attach a shared persistent corpus (serve startup; may be null).
      * Analyze requests then run through the corpus warm-start path:
      * result-cache hits skip the pipeline, misses run it and store a
-     * clean result, and mined patterns accumulate -- all in memory.
+     * clean result -- all in memory.
      * Persisting the corpus to disk stays the serving loop's job
      * (checkpoint saves at purge sweeps), which is how read-only mounts
      * stay warm without writes.

@@ -11,7 +11,7 @@
 namespace isamore {
 
 std::optional<size_t>
-parseThreadCount(std::string_view text)
+parseCount(std::string_view text, bool allowZero)
 {
     if (text.empty() || !std::all_of(text.begin(), text.end(), [](char c) {
             return c >= '0' && c <= '9';
@@ -21,10 +21,16 @@ parseThreadCount(std::string_view text)
     size_t value = 0;
     const auto result =
         std::from_chars(text.data(), text.data() + text.size(), value);
-    if (result.ec != std::errc() || value == 0) {
-        return std::nullopt;  // overflow, or zero
+    if (result.ec != std::errc() || (value == 0 && !allowZero)) {
+        return std::nullopt;  // overflow, or a refused zero
     }
     return value;
+}
+
+std::optional<size_t>
+parseThreadCount(std::string_view text)
+{
+    return parseCount(text, /*allowZero=*/false);
 }
 
 size_t

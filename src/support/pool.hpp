@@ -164,10 +164,14 @@ class ThreadPool {
 };
 
 /**
- * Parse a thread count as given to --threads or ISAMORE_THREADS: decimal
- * digits only (no sign, no spaces), value >= 1, and no overflow.
+ * Parse a count flag value: decimal digits only (no sign, no spaces),
+ * no overflow, and nonzero unless @p allowZero.
  * @return the count, or nullopt when @p text is anything else.
  */
+std::optional<size_t> parseCount(std::string_view text, bool allowZero);
+
+/** parseCount() of a thread count as given to --threads or
+ *  ISAMORE_THREADS (zero refused). */
 std::optional<size_t> parseThreadCount(std::string_view text);
 
 /**

@@ -155,6 +155,26 @@ TEST(PoolTest, ParseThreadCountAcceptsPositiveDecimalsOnly)
     }
 }
 
+TEST(PoolTest, ParseCountIsStrictAndGatesZero)
+{
+    // Every count flag of the tools goes through parseCount, so a sign,
+    // a space or a suffix is refused rather than wrapped or truncated:
+    // strtoul would read "-1" as 2^64-1.
+    for (const bool allowZero : {false, true}) {
+        EXPECT_EQ(parseCount("1", allowZero), std::optional<size_t>(1));
+        EXPECT_EQ(parseCount("250", allowZero),
+                  std::optional<size_t>(250));
+        for (const char* bad : {"-1", "+1", " 1", "1x", "",
+                                "999999999999999999999"}) {
+            EXPECT_EQ(parseCount(bad, allowZero), std::nullopt)
+                << '"' << bad << "\" allowZero=" << allowZero;
+        }
+    }
+    EXPECT_EQ(parseCount("0", /*allowZero=*/false), std::nullopt);
+    EXPECT_EQ(parseCount("0", /*allowZero=*/true),
+              std::optional<size_t>(0));
+}
+
 TEST(PoolTest, GlobalPoolResizes)
 {
     setGlobalThreads(2);

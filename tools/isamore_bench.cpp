@@ -21,9 +21,9 @@
  *               to cold modulo wall-clock (exit 1 otherwise), and
  *               --min-corpus-speedup <x> fails the run (exit 1) when
  *               median(cold)/median(warm) drops below x on any selected
- *               workload.  One corpus is shared across the selected
- *               workloads (the cross-workload accumulation path);
- *               --corpus-out <path> saves it afterwards
+ *               workload.  The warm runs of every selected workload
+ *               share one corpus; --corpus-out <path> saves it
+ *               afterwards
  *   - serve:    (--serve-bench) server-mode request latency -- cold
  *               (fresh process state per request, what a single-shot
  *               CLI invocation pays), warm (process state amortized,
@@ -57,6 +57,7 @@
  * work-stealing parallelization (see DESIGN.md "Threading model").
  */
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -474,6 +475,14 @@ printBaselineDeltas(const std::vector<WorkloadReport>& reports,
     }
 }
 
+/** A usable gate value.  A NaN gate never fails its comparison and an
+ *  infinite one is vacuous or unpassable, so both are usage errors. */
+bool
+positiveFinite(double x)
+{
+    return std::isfinite(x) && x > 0.0;
+}
+
 int
 usage()
 {
@@ -509,10 +518,12 @@ main(int argc, char** argv)
         if (flag == "--workloads" && i + 1 < argc) {
             names = splitCsv(argv[++i]);
         } else if (flag == "--reps" && i + 1 < argc) {
-            reps = std::strtoul(argv[++i], nullptr, 10);
-            if (reps == 0) {
+            const std::optional<size_t> count =
+                parseCount(argv[++i], /*allowZero=*/false);
+            if (!count) {
                 return usage();
             }
+            reps = *count;
         } else if (flag == "--threads" && i + 1 < argc) {
             const std::optional<size_t> threads = parseThreadCount(argv[++i]);
             if (!threads) {
@@ -530,13 +541,13 @@ main(int argc, char** argv)
         } else if (flag == "--min-serve-speedup" && i + 1 < argc) {
             serveBench = true;
             minServeSpeedup = std::strtod(argv[++i], nullptr);
-            if (minServeSpeedup <= 0.0) {
+            if (!positiveFinite(minServeSpeedup)) {
                 return usage();
             }
         } else if (flag == "--max-observe-overhead" && i + 1 < argc) {
             serveBench = true;
             maxObserveOverhead = std::strtod(argv[++i], nullptr);
-            if (maxObserveOverhead <= 0.0) {
+            if (!positiveFinite(maxObserveOverhead)) {
                 return usage();
             }
         } else if (flag == "--corpus-bench") {
@@ -544,7 +555,7 @@ main(int argc, char** argv)
         } else if (flag == "--min-corpus-speedup" && i + 1 < argc) {
             corpusBench = true;
             minCorpusSpeedup = std::strtod(argv[++i], nullptr);
-            if (minCorpusSpeedup <= 0.0) {
+            if (!positiveFinite(minCorpusSpeedup)) {
                 return usage();
             }
         } else if (flag == "--corpus-out" && i + 1 < argc) {
@@ -573,9 +584,8 @@ main(int argc, char** argv)
     std::vector<WorkloadReport> reports;
     bool allIdentical = true;
     bool allCorpusIdentical = true;
-    /** One corpus across every selected workload: warm reps exercise the
-     *  result cache AND the cross-workload pattern accumulation path,
-     *  and --corpus-out persists the union for artifact upload. */
+    /** One corpus across every selected workload's warm reps;
+     *  --corpus-out persists the union for artifact upload. */
     corpus::Corpus sharedCorpus;
     for (const std::string& name : names) {
         std::optional<workloads::Workload> workload = workloads::find(name);
@@ -831,8 +841,7 @@ main(int argc, char** argv)
     if (!corpusOutPath.empty()) {
         sharedCorpus.save(corpusOutPath, library);
         std::cerr << "corpus: saved " << corpusOutPath << " ("
-                  << sharedCorpus.resultCount() << " results, "
-                  << sharedCorpus.librarySize() << " patterns)\n";
+                  << sharedCorpus.resultCount() << " results)\n";
     }
 
     std::ofstream out(outPath);

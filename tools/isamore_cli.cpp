@@ -6,7 +6,7 @@
  *   isamore_cli list
  *   isamore_cli run <workload> [--mode default|astsize|kdsample|vector|
  *                                      noeqsat|llmt]
- *                   [--corpus <path>] [--corpus-readonly] [--corpus-seed]
+ *                   [--corpus <path>] [--corpus-readonly]
  *                   [--emit-verilog] [--rocc] [--dump-egraph] [--json]
  *                   [--extended-rules] [--inject <faults>] [--threads <n>]
  *
@@ -35,17 +35,15 @@
  * work-stealing pool used by EqSat's match phase and the AU pair sweep;
  * results are identical for every thread count (see DESIGN.md).
  *
- * `--corpus <path>` loads a persistent pattern corpus before the run
+ * `--corpus <path>` loads a persistent result corpus before the run
  * (starting empty if the file does not exist yet) and saves it back
- * afterwards, warm-starting this and future runs: an unchanged request
- * replays its cached result, and a changed one runs the plain pipeline
- * and feeds the cross-workload pattern library (see
- * src/corpus/warm.hpp).  `--corpus-readonly` consults the
- * corpus without writing the file (and makes a missing file an error);
- * `--corpus-seed` additionally injects patterns mined from *other*
- * workloads as candidates -- output-changing, so never used on
- * golden-checked runs.  A corrupt, truncated, or cross-build corpus
- * file is refused entirely (exit 3); delete or regenerate it.
+ * afterwards when the run stored a result: an unchanged request replays
+ * its cached result, and a changed one runs the plain pipeline (see
+ * src/corpus/warm.hpp).  Output is the same with or without a corpus.
+ * `--corpus-readonly` consults the corpus without writing the file (and
+ * makes a missing file an error).  A corrupt, truncated, stale-format,
+ * or cross-build corpus file is refused entirely (exit 3); delete or
+ * regenerate it.
  *
  * `--trace-out <path>` / `--metrics-out <path>` switch the telemetry
  * layer on for the run and export a Chrome trace-event JSON (load it in
@@ -136,12 +134,10 @@ printUsage(std::ostream& os)
           "noeqsat | llmt\n"
        << "  --corpus <path>    load the persistent corpus (created if "
           "missing) and save it back;\n"
-       << "                     it caches whole results and keeps a "
-          "pattern library\n"
+       << "                     it caches whole results; output is "
+          "unchanged\n"
        << "  --corpus-readonly  never write the corpus file back "
           "(missing file becomes an error)\n"
-       << "  --corpus-seed      seed candidates from other workloads' "
-          "corpus patterns (output-changing)\n"
        << "  --json             append the machine-readable result JSON "
           "(with runSummary)\n"
        << "  --emit-verilog     print Verilog for the best solution's "
@@ -194,7 +190,6 @@ runCommand(int argc, char** argv)
     bool extended = false;
     std::string corpus_path;
     bool corpus_readonly = false;
-    bool corpus_seed = false;
     std::string trace_out;
     std::string metrics_out;
     // A value-taking flag at the end of the command line is a usage
@@ -238,8 +233,6 @@ runCommand(int argc, char** argv)
             corpus_path = value;
         } else if (flag == "--corpus-readonly") {
             corpus_readonly = true;
-        } else if (flag == "--corpus-seed") {
-            corpus_seed = true;
         } else if (flag == "--inject") {
             const char* value = value_of(i);
             if (value == nullptr) {
@@ -292,9 +285,8 @@ runCommand(int argc, char** argv)
     if (!trace_out.empty() || !metrics_out.empty()) {
         telemetry::setEnabled(true);
     }
-    if (corpus_path.empty() && (corpus_readonly || corpus_seed)) {
-        std::cerr << "error: --corpus-readonly and --corpus-seed require "
-                     "--corpus <path>\n";
+    if (corpus_path.empty() && corpus_readonly) {
+        std::cerr << "error: --corpus-readonly requires --corpus <path>\n";
         return kExitUsage;
     }
 
@@ -313,8 +305,7 @@ runCommand(int argc, char** argv)
         if (std::filesystem::exists(corpus_path)) {
             corpusStore->load(corpus_path, library);
             std::cerr << "corpus: loaded " << corpus_path << " ("
-                      << corpusStore->resultCount() << " results, "
-                      << corpusStore->librarySize() << " patterns)\n";
+                      << corpusStore->resultCount() << " results)\n";
         } else {
             ISAMORE_USER_CHECK(!corpus_readonly,
                                "--corpus-readonly with missing corpus "
@@ -338,12 +329,10 @@ runCommand(int argc, char** argv)
     }
 
     const rii::RiiConfig config = rii::RiiConfig::forMode(mode);
-    corpus::WarmOptions warmOptions;
-    warmOptions.seedLibrary = corpus_seed;
     rii::RiiResult result =
         corpusStore != nullptr
             ? corpus::identifyInstructions(analyzed, library, config,
-                                           *corpusStore, warmOptions)
+                                           *corpusStore)
             : identifyInstructions(analyzed, library, config);
     if (corpusStore != nullptr && !corpus_readonly &&
         corpusStore->dirty()) {

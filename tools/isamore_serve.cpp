@@ -37,7 +37,7 @@
  * rename -- tail or scrape mid-run without quiescing lanes).  The
  * `metrics` op returns the same two documents inline.
  *
- * `--corpus <path>` loads a persistent pattern corpus shared by every
+ * `--corpus <path>` loads a persistent result corpus shared by every
  * lane (warm-starting analyze requests across daemon restarts) and
  * checkpoints it back -- atomic rename -- at every purge sweep and at
  * shutdown; `--corpus-readonly` never writes the file back.
@@ -46,8 +46,6 @@
  * names a corrupt or cross-build file (or --corpus-readonly a missing
  * one).
  */
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -97,18 +95,6 @@ usage(std::ostream& os)
        << "stdout line; all notices go to stderr.  EOF shuts down cleanly.\n";
 }
 
-bool
-parseCount(const char* text, size_t& into, bool allowZero)
-{
-    char* end = nullptr;
-    const unsigned long value = std::strtoul(text, &end, 10);
-    if (end == text || *end != '\0' || (!allowZero && value == 0)) {
-        return false;
-    }
-    into = static_cast<size_t>(value);
-    return true;
-}
-
 }  // namespace
 
 int
@@ -127,36 +113,40 @@ main(int argc, char** argv)
             }
             return argv[++i];
         };
+        // A count flag's value through the strict parseCount(): digits
+        // only, so "-1" is refused rather than wrapped to 2^64-1.
+        auto countValue = [&](size_t& into, bool allowZero) {
+            const char* value = nextValue();
+            const std::optional<size_t> count =
+                value == nullptr ? std::nullopt
+                                 : parseCount(value, allowZero);
+            if (count) {
+                into = *count;
+            }
+            return count.has_value();
+        };
         if (flag == "--help" || flag == "-h") {
             usage(std::cout);
             return kExitOk;
         } else if (flag == "--quiet") {
             options.banner = false;
         } else if (flag == "--lanes") {
-            const char* value = nextValue();
-            if (value == nullptr ||
-                !parseCount(value, options.lanes, false)) {
+            if (!countValue(options.lanes, false)) {
                 std::cerr << "isamore_serve: bad --lanes value\n";
                 return kExitUsage;
             }
         } else if (flag == "--queue") {
-            const char* value = nextValue();
-            if (value == nullptr ||
-                !parseCount(value, options.queueCapacity, false)) {
+            if (!countValue(options.queueCapacity, false)) {
                 std::cerr << "isamore_serve: bad --queue value\n";
                 return kExitUsage;
             }
         } else if (flag == "--purge-every") {
-            const char* value = nextValue();
-            if (value == nullptr ||
-                !parseCount(value, options.purgeEvery, true)) {
+            if (!countValue(options.purgeEvery, true)) {
                 std::cerr << "isamore_serve: bad --purge-every value\n";
                 return kExitUsage;
             }
         } else if (flag == "--watchdog-ms") {
-            const char* value = nextValue();
-            if (value == nullptr ||
-                !parseCount(value, options.watchdogPollMs, false)) {
+            if (!countValue(options.watchdogPollMs, false)) {
                 std::cerr << "isamore_serve: bad --watchdog-ms value\n";
                 return kExitUsage;
             }
@@ -190,24 +180,19 @@ main(int argc, char** argv)
             }
             options.observe.flightDir = value;
         } else if (flag == "--flight-ring") {
-            const char* value = nextValue();
-            if (value == nullptr ||
-                !parseCount(value, options.observe.flightRing, false)) {
+            if (!countValue(options.observe.flightRing, false)) {
                 std::cerr << "isamore_serve: bad --flight-ring value\n";
                 return kExitUsage;
             }
         } else if (flag == "--slo-ms") {
-            const char* value = nextValue();
             size_t sloMs = 0;
-            if (value == nullptr || !parseCount(value, sloMs, false)) {
+            if (!countValue(sloMs, false)) {
                 std::cerr << "isamore_serve: bad --slo-ms value\n";
                 return kExitUsage;
             }
             options.observe.sloMs = static_cast<double>(sloMs);
         } else if (flag == "--metrics-interval") {
-            const char* value = nextValue();
-            if (value == nullptr ||
-                !parseCount(value, options.metricsIntervalMs, false)) {
+            if (!countValue(options.metricsIntervalMs, false)) {
                 std::cerr
                     << "isamore_serve: bad --metrics-interval value\n";
                 return kExitUsage;
