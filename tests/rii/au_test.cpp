@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "egraph/rewrite.hpp"
+#include "support/pool.hpp"
 
 namespace isamore {
 namespace rii {
@@ -250,8 +251,10 @@ pinnedRun(Sampling sampling, size_t maxCandidates, size_t threads)
     AuOptions opt;
     opt.sampling = sampling;
     opt.maxCandidates = maxCandidates;
-    opt.threads = threads;
-    return describe(identifyPatterns(buildPinGraph(), opt));
+    setGlobalThreads(threads);
+    const std::string out = describe(identifyPatterns(buildPinGraph(), opt));
+    setGlobalThreads(0);
+    return out;
 }
 
 // The exact results of three sweeps over buildPinGraph().  Sampling

@@ -73,12 +73,6 @@ TEST(JsonParserTest, RejectsHostileNesting)
     EXPECT_NE(parseError(deep).find("nesting"), std::string::npos);
 }
 
-TEST(JsonEscapeTest, EscapesControlBytesAndQuotes)
-{
-    EXPECT_EQ(jsonEscapeString("a\"b\\c\nd\te\x01"),
-              "a\\\"b\\\\c\\nd\\te\\u0001");
-}
-
 /** ---- Request parsing / status taxonomy ------------------------------ */
 
 TEST(ParseRequestTest, MinimalAnalyze)
