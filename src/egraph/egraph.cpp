@@ -6,7 +6,6 @@
 
 #include "support/check.hpp"
 #include "support/hashing.hpp"
-#include "support/telemetry.hpp"
 
 namespace isamore {
 
@@ -242,13 +241,6 @@ EGraph::repair(EClassId id,
 void
 EGraph::rebuild()
 {
-    struct RoundRecord {
-        size_t frontier = 0;
-        size_t repaired = 0;
-        size_t unions = 0;
-    };
-    std::vector<RoundRecord> rounds;
-
     while (!worklist_.empty()) {
         std::vector<EClassId> todo;
         todo.swap(worklist_);
@@ -281,14 +273,8 @@ EGraph::rebuild()
         }
 
         // Union in (class order, discovery order).
-        size_t unions = 0;
         for (const auto& [x, y] : pending) {
-            if (merge(x, y)) {
-                ++unions;
-            }
-        }
-        if (telemetry::enabled()) {
-            rounds.push_back({todo.size(), classes.size(), unions});
+            merge(x, y);
         }
     }
 
@@ -298,19 +284,6 @@ EGraph::rebuild()
     compressPaths();
     if (cachesStale_) {
         refreshCaches();
-    }
-
-    if (telemetry::enabled()) {
-        auto& registry = telemetry::Registry::instance();
-        size_t round = 0;
-        for (const RoundRecord& record : rounds) {
-            registry.appendRecord(
-                "eqsat.rebuild",
-                "{\"round\": " + std::to_string(++round) +
-                    ", \"frontier\": " + std::to_string(record.frontier) +
-                    ", \"repaired\": " + std::to_string(record.repaired) +
-                    ", \"unions\": " + std::to_string(record.unions) + "}");
-        }
     }
 }
 

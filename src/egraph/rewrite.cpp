@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <new>
 
-#include <sstream>
-
 #include "egraph/ematch_program.hpp"
 #include "support/check.hpp"
 #include "support/fault.hpp"
@@ -45,46 +43,12 @@ stopReasonName(StopReason reason)
     return "?";
 }
 
-namespace {
-
-/** One telemetry iteration record (egg-style report), cold path only. */
-void
-recordIteration(uint64_t runId, size_t iter, const EGraph& egraph,
-                const std::vector<RewriteRule>& rules,
-                const std::vector<RuleTotals>& iterTotals)
-{
-    std::ostringstream rec;
-    rec << "{\"run\": " << runId << ", \"iter\": " << iter
-        << ", \"nodes\": " << egraph.numNodes()
-        << ", \"classes\": " << egraph.numClasses() << ", \"rules\": [";
-    bool first = true;
-    for (size_t r = 0; r < rules.size(); ++r) {
-        const RuleTotals& t = iterTotals[r];
-        if (t.matches == 0 && t.applications == 0 && t.bans == 0 &&
-            t.cacheSkips == 0) {
-            continue;
-        }
-        rec << (first ? "" : ", ") << "{\"rule\": \""
-            << telemetry::jsonEscape(rules[r].name)
-            << "\", \"matches\": " << t.matches
-            << ", \"applications\": " << t.applications
-            << ", \"bans\": " << t.bans
-            << ", \"cache_skips\": " << t.cacheSkips << "}";
-        first = false;
-    }
-    rec << "]}";
-    telemetry::Registry::instance().appendRecord("eqsat.iterations",
-                                                 rec.str());
-}
-
-}  // namespace
-
 EqSatStats
 runEqSat(EGraph& egraph, const std::vector<RewriteRule>& rules,
          const EqSatLimits& limits, Budget* parent)
 {
     TELEM_SPAN("eqsat.run", "eqsat");
-    // Distinguishes the record streams of the several EqSat runs an RII
+    // Distinguishes the iteration spans of the several EqSat runs an RII
     // pipeline performs (main saturation, per-candidate kappa runs).
     static std::atomic<uint64_t> runCounter{0};
     const uint64_t runId =
@@ -154,8 +118,14 @@ runEqSat(EGraph& egraph, const std::vector<RewriteRule>& rules,
     std::vector<IncrementalSearchState> searchStates(rules.size());
 
     for (size_t iter = 0; iter < limits.maxIterations; ++iter) {
+        // The sizes are the graph's as the iteration starts.
         TELEM_SPAN_ARGS("eqsat.iter", "eqsat",
-                        "\"iter\": " + std::to_string(iter));
+                        "\"run\": " + std::to_string(runId) +
+                            ", \"iter\": " + std::to_string(iter) +
+                            ", \"nodes\": " +
+                            std::to_string(egraph.numNodes()) +
+                            ", \"classes\": " +
+                            std::to_string(egraph.numClasses()));
         stats.iterations = iter + 1;
         size_t skipped_this_iter = 0;
         // This iteration's per-rule activity; folded into stats.perRule
@@ -376,11 +346,8 @@ runEqSat(EGraph& egraph, const std::vector<RewriteRule>& rules,
         for (size_t r = 0; r < rules.size(); ++r) {
             stats.perRule[r].second += iterTotals[r];
         }
-        if (telemetry::enabled()) {
-            recordIteration(runId, iter, egraph, rules, iterTotals);
-            for (size_t r = 0; r < ruleCounters.size(); ++r) {
-                ruleCounters[r]->add(iterTotals[r].applications);
-            }
+        for (size_t r = 0; r < ruleCounters.size(); ++r) {
+            ruleCounters[r]->add(iterTotals[r].applications);
         }
 
         // Stop-reason decision.  A deadline or budget tripped anywhere in

@@ -2,10 +2,21 @@
 
 namespace isamore {
 
+size_t
+LatencyDigest::bucketOf(uint64_t sample)
+{
+    size_t bits = 0;
+    while (sample != 0) {
+        sample >>= 1;
+        ++bits;
+    }
+    return bits;  // sample in [2^(bits-1), 2^bits) -> bucket `bits`
+}
+
 void
 LatencyDigest::observe(uint64_t sample)
 {
-    buckets_[telemetry::Histogram::bucketOf(sample)] += 1;
+    buckets_[bucketOf(sample)] += 1;
     count_ += 1;
     sum_ += sample;
     if (sample > max_) {

@@ -2,12 +2,14 @@
  * @file
  * Mergeable latency digests with deterministic percentiles.
  *
- * A LatencyDigest reuses the telemetry Histogram's power-of-two bucket
- * scheme (Histogram::bucketOf) but is a plain, non-atomic value type:
- * the server keeps one digest per (lane, stage, op, workload) and each
- * lane mutates only its own, so observation takes no shared lock and
- * never stalls another lane.  Snapshots merge lane-local digests into a
- * global one by summing buckets.
+ * A LatencyDigest counts samples in power-of-two buckets (bucketOf) and
+ * is a plain, non-atomic value type: the server keeps one digest per
+ * (lane, stage, op, workload) and each lane mutates only its own, so
+ * observation takes no shared lock and never stalls another lane.
+ * Snapshots merge lane-local digests into a global one by summing
+ * buckets.  The server keys a digest by workload only for requests that
+ * resolved to a known workload, so the key set stays bounded however
+ * many distinct names clients send.
  *
  * Determinism contract: quantile(q) is computed from bucket counts only
  * -- the rank'th sample's bucket lower bound -- so the reported
@@ -25,13 +27,15 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "support/telemetry.hpp"
-
 namespace isamore {
 
 class LatencyDigest {
  public:
-    static constexpr size_t kBuckets = telemetry::Histogram::kBuckets;
+    /** Bucket i counts samples in [2^(i-1), 2^i); bucket 0 counts 0. */
+    static constexpr size_t kBuckets = 65;
+
+    /** The bucket @p sample lands in. */
+    static size_t bucketOf(uint64_t sample);
 
     /** Record one sample (any unit; the server records microseconds). */
     void observe(uint64_t sample);

@@ -13,9 +13,8 @@
  * hot loops (the bench-smoke CI job gates end-to-end overhead of the
  * disabled probes below 2% against a build with the probes compiled
  * out via -DISAMORE_TELEMETRY=OFF).  Probes that must build a dynamic
- * payload (span args, record JSON) are the caller's job to gate:
- * construct the payload only when enabled() is true (TELEM_SPAN_ARGS
- * does this for span arguments).
+ * payload (span args) are the caller's job to gate: construct the
+ * payload only when enabled() is true (TELEM_SPAN_ARGS does this).
  *
  * Span tracer: TELEM_SPAN("eqsat.iter", "eqsat") opens an RAII scope
  * recorded at destruction into a per-thread buffer.  Buffers are
@@ -28,17 +27,19 @@
  * Perfetto or chrome://tracing; it and clear() must only run at
  * quiescent points (no live spans / no pool job in flight).
  *
- * Metrics registry: named counters (monotone, relaxed-atomic add),
- * gauges (last-write-wins), histograms (power-of-two buckets), and
- * ordered record streams (small JSON objects appended by cold merge
- * code, e.g. one record per EqSat iteration or AU shard).  Names are
- * dot-hierarchical with an optional {label=value} suffix on the leaf
- * (e.g. "eqsat.applications{rule=add-comm}"); toJson() nests on the
- * dots and sorts every level, so output layout is deterministic even
- * though counter *values* from racy phases (pool steals, intern hits)
- * need not be.  Registry::counter() resolution takes a mutex -- hot
- * paths resolve once and cache the pointer (stable for process
- * lifetime).
+ * Metrics registry: named counters (monotone, relaxed-atomic add) and
+ * gauges (last-write-wins), nothing else.  Its size is bounded by the
+ * set of metric names, never by how many runs a process performs, so a
+ * long-lived daemon that keeps telemetry on can scrape it forever.
+ * Per-event detail (one EqSat iteration, one AU chunk) belongs to the
+ * spans, whose buffers are capped per thread and cleared at every
+ * daemon purge sweep.  Names are dot-hierarchical with an optional
+ * {label=value} suffix on the leaf (e.g.
+ * "eqsat.applications{rule=add-comm}"); toJson() nests on the dots and
+ * sorts every level, so output layout is deterministic even though
+ * counter *values* from racy phases (pool steals, intern hits) need not
+ * be.  Registry::counter() resolution takes a mutex -- hot paths
+ * resolve once and cache the pointer (stable for process lifetime).
  */
 #pragma once
 
@@ -308,37 +309,6 @@ class Gauge {
     std::atomic<int64_t> value_{0};
 };
 
-/** Power-of-two-bucket histogram of uint64 samples. */
-class Histogram {
- public:
-    /** Bucket i counts samples in [2^(i-1), 2^i); bucket 0 counts 0. */
-    static constexpr size_t kBuckets = 65;
-
-    void
-    observe(uint64_t v)
-    {
-        if (!enabled()) {
-            return;
-        }
-        buckets_[bucketOf(v)].fetch_add(1, std::memory_order_relaxed);
-        count_.fetch_add(1, std::memory_order_relaxed);
-        sum_.fetch_add(v, std::memory_order_relaxed);
-    }
-
-    static size_t bucketOf(uint64_t v);
-    uint64_t bucket(size_t i) const
-    {
-        return buckets_[i].load(std::memory_order_relaxed);
-    }
-    uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-    uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
-
- private:
-    std::atomic<uint64_t> buckets_[kBuckets] = {};
-    std::atomic<uint64_t> count_{0};
-    std::atomic<uint64_t> sum_{0};
-};
-
 /**
  * The process-wide metrics registry.  Lookup is mutex-guarded
  * find-or-create; returned references stay valid for the process
@@ -350,45 +320,34 @@ class Registry {
 
     Counter& counter(const std::string& name);
     Gauge& gauge(const std::string& name);
-    Histogram& histogram(const std::string& name);
 
     /**
-     * Append one record (a complete JSON object, e.g. "{\"iter\": 1}")
-     * to the named ordered stream.  Cold paths only (takes the mutex).
-     */
-    void appendRecord(const std::string& stream, std::string json);
-
-    /**
-     * Render the registry as one JSON document with counters, gauges,
-     * histograms and records in dot-nested, key-sorted form.  With
-     * @p compact the document is a single line (no indentation), fit
-     * for embedding inside a JSON-lines response.
+     * Render the registry as one JSON document with counters and gauges
+     * in dot-nested, key-sorted form.  With @p compact the document is a
+     * single line (no indentation), fit for embedding inside a
+     * JSON-lines response.
      */
     std::string toJson(bool compact = false) const;
 
     /**
-     * Render counters, gauges, and histograms as Prometheus text
-     * exposition (one `# TYPE` line per family; dots become
-     * underscores under an `isamore_` prefix; the optional
-     * `{label=value}` name suffix becomes Prometheus labels;
-     * histograms export cumulative `_bucket{le="..."}` series plus
-     * `_sum`/`_count`).  Record streams are JSON-only and skipped.
+     * Render counters and gauges as Prometheus text exposition (one
+     * `# TYPE` line per family; dots become underscores under an
+     * `isamore_` prefix; the optional `{label=value}` name suffix
+     * becomes Prometheus labels).
      */
     std::string toPrometheus() const;
 
-    /** Drop every metric and record (tests / between runs). */
+    /** Drop every metric (tests / between runs). */
     void reset();
 
  private:
     mutable std::mutex mutex_;
     std::map<std::string, std::unique_ptr<Counter>> counters_;
     std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-    std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-    std::map<std::string, std::vector<std::string>> records_;
 };
 
-/** Escape @p text for use inside a JSON string literal (record/args
- *  emitters building payloads by hand). */
+/** Escape @p text for use inside a JSON string literal (span args and
+ *  every other emitter building JSON by hand). */
 std::string jsonEscape(const std::string& text);
 
 /** Write Tracer JSON to @p path; false (with errno intact) on failure. */

@@ -39,6 +39,19 @@ TEST(LatencyDigestTest, QuantileIsTheRankedSamplesBucketLowerBound)
     EXPECT_EQ(digest.quantile(1.0), 8u);    // rank 8 -> bucket 4
 }
 
+TEST(LatencyDigestTest, BucketsArePowersOfTwo)
+{
+    EXPECT_EQ(LatencyDigest::bucketOf(0), 0u);
+    EXPECT_EQ(LatencyDigest::bucketOf(1), 1u);
+    EXPECT_EQ(LatencyDigest::bucketOf(2), 2u);
+    EXPECT_EQ(LatencyDigest::bucketOf(3), 2u);
+    EXPECT_EQ(LatencyDigest::bucketOf(4), 3u);
+    EXPECT_EQ(LatencyDigest::bucketOf(1023), 10u);
+    EXPECT_EQ(LatencyDigest::bucketOf(1024), 11u);
+    EXPECT_EQ(LatencyDigest::bucketOf(UINT64_MAX),
+              LatencyDigest::kBuckets - 1);
+}
+
 TEST(LatencyDigestTest, ZeroSamplesCountInBucketZero)
 {
     LatencyDigest digest;
