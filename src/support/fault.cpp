@@ -2,8 +2,10 @@
 
 #include <cstdlib>
 #include <new>
+#include <optional>
 
 #include "support/check.hpp"
+#include "support/pool.hpp"
 
 namespace isamore {
 namespace fault {
@@ -62,15 +64,15 @@ parseArm(const std::string& clause)
             arm.repeat = true;
             hit.pop_back();
         }
-        char* end = nullptr;
-        const unsigned long long value =
-            std::strtoull(hit.c_str(), &end, 10);
-        ISAMORE_USER_CHECK(!hit.empty() && end != nullptr && *end == '\0' &&
-                               value >= 1,
+        // Decimal digits only: a sign, junk or overflow is refused, not
+        // read as some other hit ("-1" must not wrap to 2^64-1).
+        const std::optional<size_t> value =
+            parseCount(hit, /*allowZero=*/false);
+        ISAMORE_USER_CHECK(value.has_value(),
                            "fault clause '" + clause +
                                "' has a bad hit index (want @N or @N+ "
                                "with N >= 1)");
-        arm.hit = value;
+        arm.hit = *value;
     }
     arm.kind = parseKind(rest);
     return arm;

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <thread>
+#include <vector>
 
 #include "support/check.hpp"
 #include "support/pool.hpp"
@@ -96,6 +97,29 @@ TEST_F(FaultTest, MalformedSpecIsAUserError)
     EXPECT_THROW(Registry::instance().configure("=trip"), UserError);
     // A failed configure must not leave the registry half-armed.
     EXPECT_FALSE(tripped("au.pair"));
+}
+
+TEST_F(FaultTest, HitIndexIsStrictDecimal)
+{
+    // A sign, trailing junk, an empty index or one past 2^64 is refused,
+    // not read as some other hit (`@-1` used to arm hit 2^64-1, a fault
+    // that never fires).
+    for (const char* spec :
+         {"au.pair=timeout@-1", "au.pair=timeout@+1", "au.pair=timeout@1x",
+          "au.pair=timeout@", "au.pair=timeout@100000000000000000000"}) {
+        EXPECT_THROW(Registry::instance().configure(spec), UserError)
+            << spec;
+    }
+    EXPECT_TRUE(Registry::instance().arms().empty());
+
+    Registry::instance().configure("au.pair=timeout@3");
+    Registry::instance().configure("eqsat.apply=trip@3+");
+    const std::vector<FaultArm> arms = Registry::instance().arms();
+    ASSERT_EQ(arms.size(), 2u);
+    EXPECT_EQ(arms[0].hit, 3u);
+    EXPECT_FALSE(arms[0].repeat);
+    EXPECT_EQ(arms[1].hit, 3u);
+    EXPECT_TRUE(arms[1].repeat);
 }
 
 TEST_F(FaultTest, ConcurrentVisitsFireExactlyOnce)
