@@ -7,33 +7,6 @@
 #include "support/telemetry.hpp"
 
 namespace isamore {
-namespace {
-
-/** Minimal JSON string escaping (our names stay ASCII). */
-std::string
-jsonEscape(const std::string& text)
-{
-    std::string out;
-    out.reserve(text.size() + 8);
-    for (char c : text) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          default:
-            out += c;
-        }
-    }
-    return out;
-}
-
-}  // namespace
 
 std::string
 resultToJson(const AnalyzedWorkload& analyzed,
@@ -41,8 +14,8 @@ resultToJson(const AnalyzedWorkload& analyzed,
 {
     std::ostringstream os;
     os << "{\n"
-       << "  \"workload\": \"" << jsonEscape(analyzed.workload.name)
-       << "\",\n"
+       << "  \"workload\": \""
+       << telemetry::jsonEscape(analyzed.workload.name) << "\",\n"
        << "  \"irInstructions\": " << analyzed.irInstructions << ",\n"
        << "  \"softwareNs\": " << analyzed.profile.totalNs() << ",\n"
        << "  \"stats\": {\n"
@@ -65,7 +38,8 @@ resultToJson(const AnalyzedWorkload& analyzed,
             continue;
         }
         os << (firstRule ? "\n" : ",\n") << "      {\"rule\": \""
-           << jsonEscape(name) << "\", \"matches\": " << totals.matches
+           << telemetry::jsonEscape(name)
+           << "\", \"matches\": " << totals.matches
            << ", \"applications\": " << totals.applications
            << ", \"bans\": " << totals.bans
            << ", \"cacheSkips\": " << totals.cacheSkips << "}";
@@ -109,7 +83,7 @@ resultToJson(const AnalyzedWorkload& analyzed,
             os << (i == 0 ? "" : ", ") << "{\"id\": " << id
                << ", \"uses\": " << sol.useCounts[i]
                << ", \"ops\": " << termOpCount(body) << ", \"body\": \""
-               << jsonEscape(termToString(body)) << "\"}";
+               << telemetry::jsonEscape(termToString(body)) << "\"}";
         }
         os << "]}" << (s + 1 < result.front.size() ? "," : "") << "\n";
     }

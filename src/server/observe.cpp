@@ -102,7 +102,7 @@ LatencyRecorder::toJson() const
                 os << "}}";
             }
             os << (firstStage ? "" : ", ") << "\""
-               << jsonEscapeString(parts.stage) << "\": {";
+               << telemetry::jsonEscape(parts.stage) << "\": {";
             firstStage = false;
             openStage = parts.stage;
             openOp.clear();
@@ -113,13 +113,13 @@ LatencyRecorder::toJson() const
                 os << "}";
             }
             os << (firstOp ? "" : ", ") << "\""
-               << jsonEscapeString(parts.op) << "\": {";
+               << telemetry::jsonEscape(parts.op) << "\": {";
             firstOp = false;
             openOp = parts.op;
             firstWorkload = true;
         }
         os << (firstWorkload ? "" : ", ") << "\""
-           << jsonEscapeString(parts.workload) << "\": {\"count\": "
+           << telemetry::jsonEscape(parts.workload) << "\": {\"count\": "
            << digest.count() << ", \"mean_us\": " << digest.mean()
            << ", \"p50_us\": " << digest.quantile(0.5)
            << ", \"p90_us\": " << digest.quantile(0.9)
@@ -204,10 +204,10 @@ flightTraceJson(const RequestTrace& trace)
           "\"name\": \"server.request\", \"cat\": \"server\", \"ts\": "
        << trace.startNs / 1000 << "." << (trace.startNs % 1000) / 100
        << ", \"dur\": " << durNs / 1000 << "." << (durNs % 1000) / 100
-       << ", \"args\": {\"req\": \"" << jsonEscapeString(trace.requestId)
+       << ", \"args\": {\"req\": \"" << telemetry::jsonEscape(trace.requestId)
        << "\", \"id\": " << (trace.idJson.empty() ? "null" : trace.idJson)
-       << ", \"op\": \"" << jsonEscapeString(trace.op)
-       << "\", \"workload\": \"" << jsonEscapeString(trace.workload)
+       << ", \"op\": \"" << telemetry::jsonEscape(trace.op)
+       << "\", \"workload\": \"" << telemetry::jsonEscape(trace.workload)
        << "\", \"status\": \"" << statusName(trace.status)
        << "\", \"queueWaitMs\": " << trace.queueWaitMs
        << ", \"elapsedMs\": " << trace.elapsedMs << "}}";
@@ -231,9 +231,9 @@ flightTraceJson(const RequestTrace& trace)
         const telemetry::TraceEvent& event = entry.event;
         os << ",\n  {\"ph\": \"X\", \"pid\": 1, \"tid\": " << entry.tid
            << ", \"name\": \""
-           << jsonEscapeString(event.name == nullptr ? "?" : event.name)
+           << telemetry::jsonEscape(event.name == nullptr ? "?" : event.name)
            << "\", \"cat\": \""
-           << jsonEscapeString(event.cat == nullptr ? "isamore"
+           << telemetry::jsonEscape(event.cat == nullptr ? "isamore"
                                                     : event.cat)
            << "\", \"ts\": " << event.startNs / 1000 << "."
            << (event.startNs % 1000) / 100

@@ -348,33 +348,6 @@ parseJson(const std::string& text, JsonValue& out, std::string& error)
     return JsonParser(text).parse(out, error);
 }
 
-std::string
-jsonEscapeString(const std::string& text)
-{
-    std::string out;
-    out.reserve(text.size() + 8);
-    for (char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 const char*
 statusName(Status status)
 {
@@ -434,7 +407,7 @@ parseRequest(const std::string& line, uint64_t seq)
     // out before any validation can bail.
     if (const JsonValue* id = root.find("id")) {
         if (id->type == JsonValue::Type::String) {
-            request.idJson = "\"" + jsonEscapeString(id->text) + "\"";
+            request.idJson = "\"" + telemetry::jsonEscape(id->text) + "\"";
         } else if (id->type == JsonValue::Type::Number) {
             request.idJson = numberToJson(id->number);
         } else {
@@ -568,13 +541,13 @@ serializeResponse(const Response& response)
     std::ostringstream os;
     os << "{\"id\": " << response.idJson;
     if (!response.requestId.empty()) {
-        os << ", \"req\": \"" << jsonEscapeString(response.requestId)
+        os << ", \"req\": \"" << telemetry::jsonEscape(response.requestId)
            << "\"";
     }
     os << ", \"status\": \"" << statusName(response.status)
        << "\", \"code\": " << statusCode(response.status);
     if (!response.workload.empty()) {
-        os << ", \"workload\": \"" << jsonEscapeString(response.workload)
+        os << ", \"workload\": \"" << telemetry::jsonEscape(response.workload)
            << "\"";
     }
     if (response.pong) {
@@ -588,7 +561,7 @@ serializeResponse(const Response& response)
     }
     if (!response.exposition.empty()) {
         os << ", \"exposition\": \""
-           << jsonEscapeString(response.exposition) << "\"";
+           << telemetry::jsonEscape(response.exposition) << "\"";
     }
     if (!response.corpusJson.empty()) {
         os << ", \"corpus\": " << response.corpusJson;
@@ -597,15 +570,15 @@ serializeResponse(const Response& response)
         os << ", \"cached\": true";
     }
     if (!response.result.empty()) {
-        os << ", \"result\": \"" << jsonEscapeString(response.result)
+        os << ", \"result\": \"" << telemetry::jsonEscape(response.result)
            << "\"";
     }
     if (!response.diagnostics.empty()) {
         os << ", \"diagnostics\": \""
-           << jsonEscapeString(response.diagnostics) << "\"";
+           << telemetry::jsonEscape(response.diagnostics) << "\"";
     }
     if (!response.error.empty()) {
-        os << ", \"error\": \"" << jsonEscapeString(response.error)
+        os << ", \"error\": \"" << telemetry::jsonEscape(response.error)
            << "\"";
     }
     os << ", \"elapsedMs\": " << response.elapsedMs << "}";

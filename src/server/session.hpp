@@ -68,9 +68,6 @@ struct JsonValue {
  */
 bool parseJson(const std::string& text, JsonValue& out, std::string& error);
 
-/** Escape @p text for embedding inside a JSON string literal. */
-std::string jsonEscapeString(const std::string& text);
-
 /** @} */
 
 /**

@@ -79,6 +79,7 @@
 #include "support/check.hpp"
 #include "support/pool.hpp"
 #include "support/stopwatch.hpp"
+#include "support/telemetry.hpp"
 #include "workloads/registry.hpp"
 
 namespace {
@@ -220,10 +221,10 @@ writeReport(std::ostream& os, const std::vector<WorkloadReport>& reports,
 {
     const HostInfo host = currentHost();
     os << "{\n  \"host\": {\"cpu\": \""
-       << server::jsonEscapeString(host.cpu)
+       << telemetry::jsonEscape(host.cpu)
        << "\", \"hardware_concurrency\": " << host.concurrency
        << ", \"build_type\": \""
-       << server::jsonEscapeString(host.buildType) << "\"},\n"
+       << telemetry::jsonEscape(host.buildType) << "\"},\n"
        << "  \"threads\": " << threads << ",\n  \"reps\": " << reps
        << ",\n  \"workloads\": [\n";
     for (size_t w = 0; w < reports.size(); ++w) {
