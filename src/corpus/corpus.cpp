@@ -452,8 +452,6 @@ hashEqSatLimits(const EqSatLimits& limits)
 uint64_t
 hashAuOptions(const rii::AuOptions& au)
 {
-    // au.threads is deliberately absent: the thread count is
-    // behaviour-invariant by the sweep's contract.
     uint64_t h = mix64(0x61753634ull);
     h = hashCombine(h, static_cast<uint64_t>(au.sampling));
     h = hashCombine(h, au.typeFilter ? 1 : 0);

@@ -73,10 +73,7 @@ uint64_t opSchemaFingerprint();
  */
 uint64_t programFingerprint(const AnalyzedWorkload& analyzed);
 
-/**
- * Hash of every RiiConfig field that shapes pipeline output.  Excludes
- * au.threads (the thread count is behaviour-invariant).
- */
+/** Hash of every RiiConfig field that shapes pipeline output. */
 uint64_t configFingerprint(const rii::RiiConfig& config);
 
 /** The Results-section key for one analysis request. */

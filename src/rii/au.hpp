@@ -17,9 +17,12 @@
  * expected to blow the candidate budget on real inputs.
  *
  * Sharding: the pair list is cut into fixed-size chunks, each run by its
- * own shard (memo, hole namespace, budget child) and merged in pair
- * order, so the output does not depend on the thread count.  Every sweep
- * computes every chunk; nothing is memoized across sweeps or runs.
+ * own shard (memo, hole namespace, budget child) on the process-global
+ * pool (sized by --threads / ISAMORE_THREADS) and merged in pair order,
+ * so the output does not depend on the thread count.  Exhaustive
+ * sampling runs as one serial shard: its candidate-budget abort point is
+ * part of the experiment.  Every sweep computes every chunk; nothing is
+ * memoized across sweeps or runs.
  */
 #pragma once
 
@@ -90,18 +93,6 @@ struct AuOptions {
      * continues with the next pair, the per-unit degradation contract.
      */
     double maxSecondsPerPair = kUnlimitedSeconds;
-
-    /**
-     * Worker threads for the pair sweep: 0 uses the process-global pool
-     * (sized by --threads / ISAMORE_THREADS), 1 forces a serial sweep,
-     * any other value runs on a dedicated pool of that size.  The sweep
-     * is sharded into fixed-size chunks *independent of this value* and
-     * merged in pair order, so the result patterns and stats are
-     * identical for every thread count (see DESIGN.md "Threading model").
-     * Exhaustive sampling always runs as one serial shard: its
-     * candidate-budget abort point is part of the experiment.
-     */
-    size_t threads = 0;
 };
 
 /** Statistics from one AU sweep (feeds Table 2). */
