@@ -77,7 +77,11 @@ class LatencyRecorder {
  public:
     explicit LatencyRecorder(size_t slots);
 
-    /** Record @p micros for (stage, op, workload) into @p slot. */
+    /**
+     * Record @p micros for (stage, op, workload) into @p slot.  An empty
+     * @p workload files under "-".  Callers pass a workload the request
+     * resolved to, never raw client text, so the key set stays bounded.
+     */
     void observe(size_t slot, const char* stage, const std::string& op,
                  const std::string& workload, uint64_t micros);
 
