@@ -107,11 +107,10 @@ BM_EMatch(benchmark::State& state)
 BENCHMARK(BM_EMatch);
 
 /**
- * The BM_EMatch* trio compares the matching engines head to head on a
- * saturated graph (where classes are fat and the scan dominates): the
- * legacy std::function matcher over every class, the compiled pattern VM
- * seeded from the op index, and the VM with a warm incremental state on
- * an unchanged graph (the steady-state cost inside runEqSat).
+ * BM_EMatchNaive and BM_EMatchCompiled compare the matching engines head
+ * to head on a saturated graph (where classes are fat and the scan
+ * dominates): the legacy std::function matcher over every class, and the
+ * compiled pattern VM seeded from the op index.
  */
 EGraph
 saturatedChain(int n)
@@ -153,21 +152,6 @@ BM_EMatchCompiled(benchmark::State& state)
     }
 }
 BENCHMARK(BM_EMatchCompiled)->Arg(64)->Arg(256);
-
-void
-BM_EMatchIncrementalWarm(benchmark::State& state)
-{
-    EGraph g = saturatedChain(static_cast<int>(state.range(0)));
-    const PatternProgram program =
-        PatternProgram::compile(ematchBenchPattern());
-    IncrementalSearchState incState;
-    searchPattern(g, program, 1 << 20, &incState);  // warm the state
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            searchPattern(g, program, 1 << 20, &incState));
-    }
-}
-BENCHMARK(BM_EMatchIncrementalWarm)->Arg(64)->Arg(256);
 
 void
 BM_EqSatCoreRules(benchmark::State& state)

@@ -257,8 +257,6 @@ writeStats(ByteWriter& out, const rii::RiiStats& stats)
         out.str(name);
         out.u64(totals.matches);
         out.u64(totals.applications);
-        out.u64(totals.bans);
-        out.u64(totals.cacheSkips);
     }
 }
 
@@ -278,14 +276,12 @@ readStats(ByteReader& in)
     stats.peakRssBytes = in.u64();
     stats.packsCreated = in.u64();
     const uint32_t rules = in.u32();
-    in.checkCount(rules, 36);
+    in.checkCount(rules, 20);
     for (uint32_t i = 0; i < rules; ++i) {
         std::string name = in.str();
         RuleTotals totals;
         totals.matches = in.u64();
         totals.applications = in.u64();
-        totals.bans = in.u64();
-        totals.cacheSkips = in.u64();
         stats.ruleTotals.emplace(std::move(name), totals);
     }
     return stats;
@@ -444,8 +440,6 @@ hashEqSatLimits(const EqSatLimits& limits)
     h = hashCombine(h, limits.maxIterations);
     h = hashCombine(h, doubleBits(limits.maxSeconds));
     h = hashCombine(h, limits.maxMatchesPerRule);
-    h = hashCombine(h, limits.useBackoff ? 1 : 0);
-    h = hashCombine(h, limits.incrementalSearch ? 1 : 0);
     return h;
 }
 

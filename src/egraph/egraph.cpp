@@ -38,13 +38,10 @@ ENode::str() const
 EGraph::EGraph(const EGraph& other)
     : memo_(other.memo_),
       parent_(other.parent_),
-      stamps_(other.stamps_),
       classCount_(other.classCount_),
       nodeCount_(other.nodeCount_),
       version_(other.version_),
-      clock_(other.clock_),
       worklist_(other.worklist_),
-      dirtySeeds_(other.dirtySeeds_),
       classIdsCache_(other.classIdsCache_),
       opIndex_(other.opIndex_),
       cachesStale_(other.cachesStale_)
@@ -117,7 +114,6 @@ EGraph::add(ENode node)
     }
     const auto id = static_cast<EClassId>(parent_.size());
     parent_.push_back(id);
-    stamps_.push_back(++clock_);
     for (const EClassId child : node.children) {
         classes_[child]->parents.emplace_back(node, id);
     }
@@ -167,14 +163,12 @@ EGraph::merge(EClassId a, EClassId b)
     classes_[b].reset();
     --classCount_;
     worklist_.push_back(a);
-    dirtySeeds_.push_back(a);
     ++version_;
-    stamps_[a] = ++clock_;
     cachesStale_ = true;
     return true;
 }
 
-bool
+void
 EGraph::repair(EClassId id,
                std::vector<std::pair<EClassId, EClassId>>& unions)
 {
@@ -232,10 +226,8 @@ EGraph::repair(EClassId id,
             unique.push_back(std::move(canonical));
         }
     }
-    const size_t removed = data.nodes.size() - unique.size();
+    nodeCount_ -= data.nodes.size() - unique.size();
     data.nodes = std::move(unique);
-    nodeCount_ -= removed;
-    return removed != 0;
 }
 
 void
@@ -262,14 +254,9 @@ EGraph::rebuild()
 
         // Repair every dirty class against this round's union-find; the
         // congruences found are applied only once all repairs are done.
-        // A repair that collapsed duplicate nodes changed the class's own
-        // node list -- match-visible exactly like a merge append -- so it
-        // seeds the dirty propagation (merges seed themselves in merge()).
         std::vector<std::pair<EClassId, EClassId>> pending;
         for (const EClassId id : classes) {
-            if (repair(id, pending)) {
-                dirtySeeds_.push_back(id);
-            }
+            repair(id, pending);
         }
 
         // Union in (class order, discovery order).
@@ -278,45 +265,11 @@ EGraph::rebuild()
         }
     }
 
-    propagateDirty();
     // Snapshot canonical ids into every link: post-rebuild find() is a
     // single load until the next merge.
     compressPaths();
     if (cachesStale_) {
         refreshCaches();
-    }
-}
-
-void
-EGraph::propagateDirty()
-{
-    if (dirtySeeds_.empty()) {
-        return;
-    }
-    // A merged class's new node set changes the match behaviour of every
-    // ancestor reachable through parent lists, so the stamp propagates
-    // upward until it meets classes already stamped at this clock value.
-    // Parent entries of untouched classes may hold stale ids; findMutable
-    // resolves them (a superset of true ancestors is harmless: stamping a
-    // class conservatively only costs a redundant re-match).
-    const uint64_t now = ++clock_;
-    std::vector<EClassId> work;
-    auto visit = [&](EClassId c) {
-        if (stamps_[c] != now) {
-            stamps_[c] = now;
-            work.push_back(c);
-        }
-    };
-    for (EClassId seed : dirtySeeds_) {
-        visit(findMutable(seed));
-    }
-    dirtySeeds_.clear();
-    while (!work.empty()) {
-        const EClassId c = work.back();
-        work.pop_back();
-        for (const auto& [pnode, pclass] : classes_[c]->parents) {
-            visit(findMutable(pclass));
-        }
     }
 }
 
@@ -383,31 +336,12 @@ EGraph::classesWithOp(Op op) const
     return opIndex_[static_cast<size_t>(op)];
 }
 
-uint64_t
-EGraph::classStamp(EClassId id) const
-{
-    return stamps_[id];
-}
-
-std::vector<EClassId>
-EGraph::classesDirtySince(uint64_t version) const
-{
-    std::vector<EClassId> out;
-    for (EClassId id : classIds()) {
-        if (classStamp(id) > version) {
-            out.push_back(id);
-        }
-    }
-    return out;
-}
-
 EGraphSnapshot
 EGraph::exportSnapshot() const
 {
     ISAMORE_CHECK_MSG(!needsRebuild(),
                       "exportSnapshot requires a rebuilt graph");
     EGraphSnapshot snap;
-    snap.clock = clock_;
     snap.version = version_;
     const auto ids = static_cast<uint32_t>(parent_.size());
     snap.numIds = ids;
@@ -415,7 +349,6 @@ EGraph::exportSnapshot() const
     for (EClassId id = 0; id < ids; ++id) {
         snap.unionFind.push_back(find(id));
     }
-    snap.stamps = stamps_;
     for (EClassId id = 0; id < ids; ++id) {
         if (classes_[id] == nullptr) {
             continue;

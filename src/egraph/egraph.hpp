@@ -11,13 +11,13 @@
  * Threading: the graph is a plain single-threaded structure (DESIGN.md
  * "Serial e-graph").  Mutation (add(), merge(), rebuild()) is serial.
  * Once rebuild() returns, the graph may be *read* from several threads
- * at once -- find(), lookup(), cls(),
- * classIds(), classesWithOp() and the stamp queries never write, because
- * find() is a non-mutating walk and rebuild() compresses every path and
- * refreshes the read caches eagerly.  The AU sweep's pool lanes and the
- * server's shared workload graphs rely on exactly that.
+ * at once -- find(), lookup(), cls(), classIds() and classesWithOp()
+ * never write, because find() is a non-mutating walk and rebuild()
+ * compresses every path and refreshes the read caches eagerly.  The AU
+ * sweep's pool lanes and the server's shared workload graphs rely on
+ * exactly that.
  *
- * Determinism: class ids, stamps, and merge outcomes depend only on the
+ * Determinism: class ids and merge outcomes depend only on the
  * order of add()/merge() calls, so pipeline output is byte-identical at
  * every thread count.
  */
@@ -85,19 +85,16 @@ struct EClass {
 /**
  * Flat, pointer-free image of a rebuilt e-graph.  Captures everything
  * later graph operations can observe: the union-find resolution of every
- * id ever allocated, the per-id dirty stamps, the modification clocks,
- * and each canonical class's node and parent lists *in storage order* --
- * repair and merge tie-breaking read those orders, so two graphs with
- * equal images behave identically from then on.
+ * id ever allocated, the merge count, and each canonical class's node
+ * and parent lists *in storage order* -- repair and merge tie-breaking
+ * read those orders, so two graphs with equal images behave identically
+ * from then on.
  */
 struct EGraphSnapshot {
-    uint64_t clock = 0;    ///< matchClock() at export
     uint64_t version = 0;  ///< version() at export
     uint32_t numIds = 0;   ///< total ids ever allocated
     /** Per id: its canonical root (self for canonical ids). */
     std::vector<EClassId> unionFind;
-    /** Per id: its dirty stamp (EGraph::classStamp). */
-    std::vector<uint64_t> stamps;
     /** One canonical class's storage, verbatim. */
     struct ClassImage {
         EClassId id = 0;
@@ -110,16 +107,12 @@ struct EGraphSnapshot {
 /**
  * E-graph with deferred congruence repair.
  *
- * Beyond the core egg design, the graph maintains three derived
- * structures for the e-matching engine (see DESIGN.md "Matching engine"):
+ * Beyond the core egg design, the graph maintains two derived structures
+ * for the e-matching engine (see DESIGN.md "Matching engine"):
  *
  *  - an **op index** mapping each root operator to the ascending list of
  *    canonical classes containing a node with that operator, so pattern
  *    searches seed their root candidates without scanning every class;
- *  - **per-class modification stamps** on a monotone clock, propagated
- *    upward through parent lists at the rebuild() fixpoint, so a class's
- *    stamp bounds the last change anywhere in its reachable sub-DAG and
- *    incremental searches can skip classes untouched since a snapshot;
  *  - a **cached canonical-id snapshot** (classIds()) and an incrementally
  *    maintained node count, both O(1) on the hot read paths.
  *
@@ -218,36 +211,9 @@ class EGraph {
     /** Monotone counter of merges performed (for saturation detection). */
     uint64_t version() const { return version_; }
 
-    /** @name Dirty tracking (incremental e-matching)
-     *  @{ */
-
     /**
-     * Monotone modification clock: bumps on every class creation or
-     * merge.  Snapshot it after a rebuild(); classes whose stamp exceeds
-     * the snapshot may match differently than they did then.
-     */
-    uint64_t matchClock() const { return clock_; }
-
-    /**
-     * Last-modification stamp of class @p id, upward-propagated: covers
-     * changes anywhere in the class's reachable sub-DAG as of the last
-     * rebuild().  @pre @p id is canonical.
-     */
-    uint64_t classStamp(EClassId id) const;
-
-    /**
-     * Canonical ids (ascending) whose stamp exceeds @p version.  A class
-     * absent from the result is guaranteed to produce exactly the same
-     * matches, for every pattern, as it did when @p version was
-     * snapshotted (provided the graph was rebuilt at both points).
-     */
-    std::vector<EClassId> classesDirtySince(uint64_t version) const;
-
-    /** @} */
-
-    /**
-     * Export a complete image of the graph (ids, union-find, stamps,
-     * clocks, node/parent list orders), for tests that pin EqSat output.
+     * Export a complete image of the graph (ids, union-find, version,
+     * node/parent list orders), for tests that pin EqSat output.
      * @pre the graph is rebuilt (!needsRebuild()).
      */
     EGraphSnapshot exportSnapshot() const;
@@ -257,34 +223,28 @@ class EGraph {
      * Repair one dirty class against the current union-find: re-key its
      * parents in the hashcons, dedup its parents and own nodes, and
      * append the congruent pairs it finds to @p unions (discovery order).
-     * @return whether own nodes collapsed (a match-visible change).
      */
-    bool repair(EClassId id,
+    void repair(EClassId id,
                 std::vector<std::pair<EClassId, EClassId>>& unions);
     /** find() with path halving; only valid from mutation paths. */
     EClassId findMutable(EClassId id);
     /** Rebuild classIds/op-index caches when stale. */
     void refreshCaches() const;
-    /** Propagate dirty stamps from merge winners up to all ancestors. */
-    void propagateDirty();
     /** Point every id's parent link directly at its root. */
     void compressPaths();
 
     std::unordered_map<ENode, EClassId, ENodeHash> memo_;  // hashcons
-    // Per id, indexed by EClassId: union-find link, dirty stamp, and
-    // class storage (null once the class lost a merge).  Storage sits
-    // behind a pointer so cls() references survive later add() calls.
+    // Per id, indexed by EClassId: union-find link and class storage
+    // (null once the class lost a merge).  Storage sits behind a pointer
+    // so cls() references survive later add() calls.
     std::vector<EClassId> parent_;
-    std::vector<uint64_t> stamps_;
     std::vector<std::unique_ptr<EClass>> classes_;
 
     size_t classCount_ = 0;
     size_t nodeCount_ = 0;  // Σ nodes over live classes
     uint64_t version_ = 0;
-    uint64_t clock_ = 0;    // modification clock
 
     std::vector<EClassId> worklist_;
-    std::vector<EClassId> dirtySeeds_;  // merge winners awaiting propagation
 
     // Lazily refreshed read caches (see refreshCaches()).  Mutable so the
     // const read path can refresh them; rebuild() always refreshes

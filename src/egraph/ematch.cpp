@@ -123,8 +123,7 @@ ematchAt(const EGraph& egraph, const TermPtr& pattern, EClassId root,
 std::vector<EMatch>
 ematchAll(const EGraph& egraph, const TermPtr& pattern, size_t maxTotal)
 {
-    return searchPattern(egraph, PatternProgram::compile(pattern), maxTotal)
-        .matches;
+    return searchPattern(egraph, PatternProgram::compile(pattern), maxTotal);
 }
 
 EClassId

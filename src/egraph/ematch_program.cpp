@@ -1,7 +1,5 @@
 #include "egraph/ematch_program.hpp"
 
-#include <algorithm>
-
 #include "support/check.hpp"
 
 namespace isamore {
@@ -142,101 +140,30 @@ PatternProgram::matchAt(const EGraph& egraph, EClassId root,
     }
 }
 
-SearchResult
+std::vector<EMatch>
 searchPattern(const EGraph& egraph, const PatternProgram& program,
-              size_t maxTotal, IncrementalSearchState* state)
+              size_t maxTotal)
 {
-    // Incremental mode leans on the dirty stamps, which are only
-    // propagated (and thus trustworthy) on a rebuilt graph; full mode has
-    // the same relaxed contract as the legacy scan.
-    ISAMORE_CHECK_MSG(state == nullptr || !egraph.needsRebuild(),
-                      "incremental searchPattern requires a rebuilt e-graph");
-    SearchResult result;
+    std::vector<EMatch> matches;
     const std::vector<EClassId>& candidates =
         program.rootIsHole() ? egraph.classIds()
                              : egraph.classesWithOp(program.rootOp());
-    const bool incremental = state != nullptr && state->valid;
-    // The fresh count list reuses the state's spare buffer: candidates
-    // come out ascending, so counts append in order and the cached-count
-    // reads below are one merge cursor, not hash probes -- the
-    // bookkeeping a mostly-clean search pays is a linear scan of two
-    // short sorted arrays instead of a hash-table build per call.
-    std::vector<std::pair<EClassId, uint32_t>>* newCounts = nullptr;
-    if (state != nullptr) {
-        state->scratch.clear();
-        newCounts = &state->scratch;
-    }
-    size_t cursor = 0;  // into state->counts (ascending, like candidates)
     // The VM scratch and the per-class substitution buffer survive across
     // calls (per thread) so a search allocates nothing but its results.
     thread_local MatchScratch scratch;
     thread_local std::vector<Subst> substs;
-    size_t total = 0;
-    size_t pendingCached = 0;  // cached matches since the last emitted one
     for (EClassId id : candidates) {
-        if (total >= maxTotal) {
+        if (matches.size() >= maxTotal) {
             break;
         }
-        const size_t budget = maxTotal - total;
-        size_t count = 0;
-        bool skip = false;
-        uint32_t cachedCount = 0;
-        if (incremental) {
-            while (cursor < state->counts.size() &&
-                   state->counts[cursor].first < id) {
-                ++cursor;
-            }
-            if (cursor < state->counts.size() &&
-                state->counts[cursor].first == id) {
-                cachedCount = state->counts[cursor].second;
-            }
-            // Skippable only when nothing in the class's whole cone moved:
-            // the reference engine re-applies cached matches, and a
-            // re-instantiation reads arbitrarily deep (through the RHS
-            // instance already merged into this class), so movement
-            // anywhere below can turn the re-apply into a real merge the
-            // skip would lose.
-            skip = egraph.classStamp(id) <= state->clock;
-        }
-        if (skip) {
-            // Untouched since the last complete search: its matches are
-            // unchanged (and were already consumed then), so only its
-            // cached count participates — capped exactly where the full
-            // enumeration would have stopped inside this class.
-            count = std::min<size_t>(cachedCount, budget);
-            pendingCached += count;
-        } else {
-            substs.clear();
-            count = program.matchAt(egraph, id, budget, substs, scratch);
-            for (Subst& subst : substs) {
-                result.matches.push_back(EMatch{id, std::move(subst)});
-                result.cachedBefore.push_back(
-                    static_cast<uint32_t>(pendingCached));
-                pendingCached = 0;
-            }
-        }
-        total += count;
-        if (state != nullptr && count != 0) {
-            newCounts->emplace_back(id, static_cast<uint32_t>(count));
+        substs.clear();
+        program.matchAt(egraph, id, maxTotal - matches.size(), substs,
+                        scratch);
+        for (Subst& subst : substs) {
+            matches.push_back(EMatch{id, std::move(subst)});
         }
     }
-    result.cachedAfter = pendingCached;
-
-    result.totalCount = total;
-    // Reaching the cap means some candidate (or some class's tail) may
-    // not have been enumerated, so the per-class counts are unusable as
-    // a future baseline.
-    result.truncated = total >= maxTotal;
-    if (state != nullptr) {
-        if (result.truncated) {
-            state->reset();
-        } else {
-            state->valid = true;
-            state->clock = egraph.matchClock();
-            state->counts.swap(state->scratch);
-        }
-    }
-    return result;
+    return matches;
 }
 
 }  // namespace isamore

@@ -2,8 +2,8 @@
  * @file
  * Compiled e-matching: patterns compiled once into flat abstract-machine
  * programs, executed by a small VM with an explicit backtracking stack,
- * plus an incremental whole-graph search driver over the e-graph's op
- * index and dirty stamps (DESIGN.md "Matching engine").
+ * plus a whole-graph search driver over the e-graph's op index
+ * (DESIGN.md "Matching engine").
  *
  * The VM enumerates matches in exactly the order of the legacy
  * backtracking matcher in ematch.cpp (pre-order, class-node order,
@@ -84,68 +84,12 @@ class PatternProgram {
 };
 
 /**
- * Result of one whole-graph search.  `matches` holds the enumerated
- * matches; under incremental search it contains only matches rooted at
- * classes modified since the state's snapshot (matches at untouched
- * classes are guaranteed unchanged), while `totalCount` always reports
- * the full-search count — including the cached contribution of untouched
- * classes — so callers can apply caps and backoff bans exactly as a full
- * search would.
- */
-struct SearchResult {
-    std::vector<EMatch> matches;
-    size_t totalCount = 0;
-    bool truncated = false;  ///< hit maxTotal; counts beyond it unknown
-
-    /**
-     * Positional accounting for callers that must behave exactly like a
-     * full enumeration: cachedBefore[i] is the number of cached (skipped)
-     * matches a full search would have produced between matches[i-1] and
-     * matches[i]; cachedAfter counts those after the last one.  All zero
-     * in full mode.  matches.size() + Σcached == totalCount.
-     */
-    std::vector<uint32_t> cachedBefore;
-    size_t cachedAfter = 0;
-};
-
-/**
- * Per-pattern bookkeeping carried between searches of an evolving
- * e-graph.  Valid only while the searches were complete (never truncated
- * by the cap): `counts` then records the per-class match count of every
- * candidate as of `clock`, so the next search can skip classes whose
- * stamp is not newer while still accounting for their matches.
- */
-struct IncrementalSearchState {
-    bool valid = false;
-    uint64_t clock = 0;
-    /**
-     * Nonzero per-class counts, ascending by class id (candidates are
-     * enumerated ascending, so the search appends in order and the skip
-     * path reads with a merge cursor instead of a hash probe).
-     */
-    std::vector<std::pair<EClassId, uint32_t>> counts;
-    /** Spare buffer the next search fills (keeps its capacity). */
-    std::vector<std::pair<EClassId, uint32_t>> scratch;
-
-    void reset() { valid = false; counts.clear(); }
-};
-
-/**
  * Search @p program across all candidate root classes (from the op
- * index, ascending), enumerating at most @p maxTotal matches in the same
+ * index, ascending), returning at most @p maxTotal matches in the same
  * order as the legacy full scan.
- *
- * With @p state == nullptr every candidate is searched (full mode).
- * With a state, classes untouched since the last complete search
- * contribute their cached counts without being re-searched and their
- * matches are omitted from the result; the state is updated in place
- * (and invalidated when the search is truncated, after which the next
- * call falls back to full mode).
- *
- * @pre the e-graph is rebuilt (no pending merges).
  */
-SearchResult searchPattern(const EGraph& egraph,
-                           const PatternProgram& program, size_t maxTotal,
-                           IncrementalSearchState* state = nullptr);
+std::vector<EMatch> searchPattern(const EGraph& egraph,
+                                  const PatternProgram& program,
+                                  size_t maxTotal);
 
 }  // namespace isamore

@@ -98,24 +98,12 @@ runEqSat(EGraph& egraph, const std::vector<RewriteRule>& rules,
         return true;
     };
 
-    // Backoff bookkeeping, parallel to `rules`.
-    struct Backoff {
-        size_t bannedUntil = 0;
-        size_t timesBanned = 0;
-    };
-    std::vector<Backoff> backoff(rules.size());
-
-    // Each rule's LHS compiles once per run; the per-rule incremental
-    // state carries the last complete search's clock and per-class match
-    // counts across iterations.  Rules with a guard always search in full
-    // mode: a guard may re-admit a previously rejected match after graph
-    // changes anywhere, so skipping untouched classes would lose it.
+    // Each rule's LHS compiles once per run.
     std::vector<PatternProgram> programs;
     programs.reserve(rules.size());
     for (const RewriteRule& rule : rules) {
         programs.push_back(PatternProgram::compile(rule.lhs));
     }
-    std::vector<IncrementalSearchState> searchStates(rules.size());
 
     for (size_t iter = 0; iter < limits.maxIterations; ++iter) {
         // The sizes are the graph's as the iteration starts.
@@ -135,107 +123,52 @@ runEqSat(EGraph& egraph, const std::vector<RewriteRule>& rules,
 
         // Phase 1: search all rules against the current (stable) e-graph.
         // The e-graph is frozen between rebuilds (egg's deferred-rebuild
-        // design): every eligible rule searches first, in rule order, and
-        // the order-sensitive bookkeeping (fault sites, bans, guards, the
-        // early break) runs afterwards in rule order.  A search error is
-        // held until its rule's turn in that second loop.
+        // design): every rule searches every candidate class first, in
+        // rule order, and the order-sensitive bookkeeping (fault sites,
+        // guards, the early break) runs afterwards in rule order.  A
+        // search error is held until its rule's turn in that second loop.
         struct PendingUnion {
             const RewriteRule* rule;
             EMatch match;
-            // Matches an incremental search skipped (already applied at
-            // untouched classes) between the previous pending entry and
-            // this one; replayed as no-op applications so the apply
-            // loop's counter-based polling is identical to a full run.
-            uint32_t virtualBefore = 0;
         };
         std::vector<PendingUnion> pending;
-        bool any_banned = false;
 
         struct RuleSearch {
-            size_t ruleIndex = 0;
-            size_t cap = 0;
-            SearchResult result;
+            std::vector<EMatch> matches;
             std::exception_ptr error;
         };
-        std::vector<RuleSearch> searches;
-        searches.reserve(rules.size());
+        std::vector<RuleSearch> searches(rules.size());
         {
             TELEM_SPAN("eqsat.search", "eqsat");
             for (size_t r = 0; r < rules.size(); ++r) {
-                if (limits.useBackoff && iter < backoff[r].bannedUntil) {
-                    any_banned = true;
-                    continue;
-                }
-                // With backoff, the per-rule cap doubles with every ban
-                // (as in egg), so a once-explosive rule eventually fits
-                // its budget and resumes; search one past the cap to
-                // detect overflow.
-                RuleSearch search;
-                search.ruleIndex = r;
-                search.cap =
-                    limits.useBackoff
-                        ? limits.maxMatchesPerRule << backoff[r].timesBanned
-                        : limits.maxMatchesPerRule;
-                IncrementalSearchState* state =
-                    (limits.incrementalSearch && !rules[r].guard)
-                        ? &searchStates[r]
-                        : nullptr;
                 try {
-                    search.result = searchPattern(
-                        egraph, programs[r],
-                        limits.useBackoff ? search.cap + 1 : search.cap,
-                        state);
+                    searches[r].matches = searchPattern(
+                        egraph, programs[r], limits.maxMatchesPerRule);
                 } catch (...) {
-                    search.error = std::current_exception();
+                    searches[r].error = std::current_exception();
                 }
-                searches.push_back(std::move(search));
             }
         }
 
-        // Cached matches trailing a rule's last emitted one roll forward
-        // to the next pending entry (or to the end of the apply loop).
-        size_t virtual_carry = 0;
-        for (RuleSearch& search : searches) {
-            const RewriteRule& rule = rules[search.ruleIndex];
+        for (size_t r = 0; r < rules.size(); ++r) {
+            const RewriteRule& rule = rules[r];
             try {
                 // Inside the catch scope so throwing fault kinds degrade
                 // to a skipped rule instead of escaping the run.
                 if (fault::tripped("eqsat.search")) {
                     out_of_time = true;
                 }
-                if (search.error) {
-                    std::rethrow_exception(search.error);
+                if (searches[r].error) {
+                    std::rethrow_exception(searches[r].error);
                 }
-                // totalCount includes the cached contribution of classes
-                // the incremental search skipped, so the overflow check
-                // is exactly the full search's match-list-size check.
-                iterTotals[search.ruleIndex].matches +=
-                    search.result.totalCount;
-                if (limits.useBackoff &&
-                    search.result.totalCount > search.cap) {
-                    // Ban for an exponentially growing span and skip.
-                    const size_t r = search.ruleIndex;
-                    backoff[r].bannedUntil =
-                        iter + (size_t{1} << ++backoff[r].timesBanned);
-                    ++stats.rulesBanned;
-                    ++iterTotals[r].bans;
-                    any_banned = true;
-                    continue;
-                }
-                std::vector<EMatch>& matches = search.result.matches;
-                iterTotals[search.ruleIndex].cacheSkips +=
-                    search.result.totalCount - matches.size();
-                for (size_t j = 0; j < matches.size(); ++j) {
-                    virtual_carry += search.result.cachedBefore[j];
-                    if (rule.guard && !rule.guard(egraph, matches[j])) {
+                std::vector<EMatch>& matches = searches[r].matches;
+                iterTotals[r].matches += matches.size();
+                for (EMatch& match : matches) {
+                    if (rule.guard && !rule.guard(egraph, match)) {
                         continue;
                     }
-                    pending.push_back(PendingUnion{
-                        &rule, std::move(matches[j]),
-                        static_cast<uint32_t>(virtual_carry)});
-                    virtual_carry = 0;
+                    pending.push_back(PendingUnion{&rule, std::move(match)});
                 }
-                virtual_carry += search.result.cachedAfter;
             } catch (const InternalError&) {
                 ++skipped_this_iter;
                 continue;
@@ -255,37 +188,9 @@ runEqSat(EGraph& egraph, const std::vector<RewriteRule>& rules,
         size_t nodes_before = egraph.numNodes();
         bool added_nodes = false;
         size_t applied = 0;
-        size_t apply_skips = 0;
-        // Re-applying a match rooted at an untouched class is a no-op
-        // (instantiate hits the hashcons, merge returns false), but in a
-        // full run it still advances `applied` past poll boundaries.
-        // Replay the skipped no-ops through the same counter so the two
-        // modes break out of this loop at identical points.
-        auto advance_virtual = [&](size_t v) {
-            while (v != 0) {
-                const size_t step =
-                    std::min<size_t>(v, 64 - (applied & 63u));
-                applied += step;
-                v -= step;
-                if ((applied & 63u) == 0) {
-                    if (egraph.numNodes() > limits.maxNodes &&
-                        egraph.numNodes() > nodes_before) {
-                        added_nodes = true;
-                        return true;
-                    }
-                    if (poll_budget()) {
-                        return true;
-                    }
-                }
-            }
-            return false;
-        };
         {
             TELEM_SPAN("eqsat.apply", "eqsat");
             for (const PendingUnion& p : pending) {
-                if (advance_virtual(p.virtualBefore)) {
-                    break;
-                }
                 if (fault::tripped("eqsat.apply")) {
                     out_of_time = true;
                     break;
@@ -305,11 +210,9 @@ runEqSat(EGraph& egraph, const std::vector<RewriteRule>& rules,
                     }
                 } catch (const InternalError&) {
                     ++skipped_this_iter;
-                    ++apply_skips;
                     continue;
                 } catch (const std::bad_alloc&) {
                     ++skipped_this_iter;
-                    ++apply_skips;
                     continue;
                 }
                 if ((++applied & 63u) == 0) {
@@ -322,16 +225,6 @@ runEqSat(EGraph& egraph, const std::vector<RewriteRule>& rules,
                         break;
                     }
                 }
-            }
-            if (!added_nodes && !out_of_time && !out_of_units) {
-                advance_virtual(virtual_carry);
-            }
-        }
-        if (apply_skips != 0) {
-            // A dropped application is a match the incremental baseline
-            // would wrongly consider consumed; start every rule over.
-            for (IncrementalSearchState& state : searchStates) {
-                state.reset();
             }
         }
         {
@@ -364,12 +257,11 @@ runEqSat(EGraph& egraph, const std::vector<RewriteRule>& rules,
         if (fault::tripped("eqsat.nodes")) {
             added_nodes = true;
         }
-        // A quiet iteration only means saturation when no rule sat out a
-        // backoff ban and none was dropped by a fault.
+        // A quiet iteration only means saturation when no rule was
+        // dropped by a fault.
         const bool quiet = egraph.version() == version_before &&
                            egraph.numNodes() == nodes_before &&
-                           !any_banned && !added_nodes &&
-                           skipped_this_iter == 0;
+                           !added_nodes && skipped_this_iter == 0;
         if (quiet) {
             stats.stopReason = StopReason::Saturated;
             return stats;

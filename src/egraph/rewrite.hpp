@@ -54,26 +54,6 @@ struct EqSatLimits {
     size_t maxIterations = 16;       ///< rewrite sweeps
     double maxSeconds = 30.0;        ///< wall-clock budget
     size_t maxMatchesPerRule = 2048; ///< per-rule per-iteration match cap
-
-    /**
-     * egg-style backoff scheduling: a rule whose match count exceeds the
-     * cap is banned for exponentially growing spans of iterations, which
-     * lets slow rules keep contributing while explosive ones cool off.
-     */
-    bool useBackoff = false;
-
-    /**
-     * Incremental search: after a rule's first complete search, later
-     * iterations re-match it only against classes modified (anywhere in
-     * their reachable sub-DAG) since — matches rooted in untouched
-     * classes were already applied and can only repeat.  Falls back to a
-     * full search on the first iteration, after a cap-truncated search or
-     * a backoff ban, for rules with a guard (a guard may re-admit an old
-     * match after unrelated graph changes), and after any application was
-     * dropped by a fault.  Off = every iteration searches every class;
-     * both modes produce identical results and statistics.
-     */
-    bool incrementalSearch = true;
 };
 
 /**
@@ -88,23 +68,19 @@ const char* stopReasonName(StopReason reason);
 
 /**
  * Per-rule work totals accumulated across every iteration of a run (or,
- * in RiiStats, across every run of a phase).  All four counts are
+ * in RiiStats, across every run of a phase).  Both counts are
  * independent of the thread count and of telemetry being on or off, so
  * they are safe to surface in deterministic pipeline output.
  */
 struct RuleTotals {
-    size_t matches = 0;       ///< matches found (incl. incremental-cached)
+    size_t matches = 0;       ///< matches found (up to the per-rule cap)
     size_t applications = 0;  ///< unions that actually merged two classes
-    size_t bans = 0;          ///< backoff bans issued to this rule
-    size_t cacheSkips = 0;    ///< matches the incremental search re-used
 
     RuleTotals&
     operator+=(const RuleTotals& o)
     {
         matches += o.matches;
         applications += o.applications;
-        bans += o.bans;
-        cacheSkips += o.cacheSkips;
         return *this;
     }
 };
@@ -115,7 +91,6 @@ struct EqSatStats {
     size_t peakNodes = 0;
     size_t peakClasses = 0;
     size_t applications = 0;
-    size_t rulesBanned = 0;  ///< backoff bans issued (when enabled)
     /** Rules (or single applications) dropped after a fault; a sweep with
      *  drops never reports Saturated. */
     size_t skippedRules = 0;

@@ -33,16 +33,13 @@ resultToJson(const AnalyzedWorkload& analyzed,
     os << "    \"ruleTotals\": [";
     bool firstRule = true;
     for (const auto& [name, totals] : result.stats.ruleTotals) {
-        if (totals.matches == 0 && totals.applications == 0 &&
-            totals.bans == 0 && totals.cacheSkips == 0) {
+        if (totals.matches == 0 && totals.applications == 0) {
             continue;
         }
         os << (firstRule ? "\n" : ",\n") << "      {\"rule\": \""
            << telemetry::jsonEscape(name)
            << "\", \"matches\": " << totals.matches
-           << ", \"applications\": " << totals.applications
-           << ", \"bans\": " << totals.bans
-           << ", \"cacheSkips\": " << totals.cacheSkips << "}";
+           << ", \"applications\": " << totals.applications << "}";
         firstRule = false;
     }
     os << (firstRule ? "],\n" : "\n    ],\n");

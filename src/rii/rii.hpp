@@ -53,8 +53,7 @@ struct RiiConfig {
     size_t rulesPerPhase = 8;
 
     EqSatLimits eqsat{/*maxNodes=*/20000, /*maxIterations=*/8,
-                      /*maxSeconds=*/10.0, /*maxMatchesPerRule=*/1024,
-                      /*useBackoff=*/false, /*incrementalSearch=*/true};
+                      /*maxSeconds=*/10.0, /*maxMatchesPerRule=*/1024};
     AuOptions au;
     SelectOptions select;
     VectorizeOptions vectorize;

@@ -1,11 +1,10 @@
 /**
  * @file
- * Tests for the compiled/incremental matching engine (ematch_program.hpp)
- * and its e-graph support structures: a randomized differential suite
- * pinning the VM to the legacy backtracking matcher (1000 graph/pattern
- * cases), full-vs-incremental runEqSat equivalence, the worklist
- * extractor against a naive full-sweep oracle, and units for the op
- * index, dirty stamps, O(1) node count, and the class-id snapshot.
+ * Tests for the compiled matching engine (ematch_program.hpp) and its
+ * e-graph support structures: a randomized differential suite pinning
+ * the VM to the legacy backtracking matcher (1000 graph/pattern cases),
+ * the worklist extractor against a naive full-sweep oracle, and units
+ * for the op index, O(1) node count, and the class-id snapshot.
  */
 #include "egraph/ematch_program.hpp"
 
@@ -15,8 +14,6 @@
 #include <string>
 
 #include "egraph/extract.hpp"
-#include "egraph/rewrite.hpp"
-#include "rules/rulesets.hpp"
 #include "support/rng.hpp"
 
 namespace isamore {
@@ -121,63 +118,6 @@ TEST_P(VmDifferential, MatchesLegacyMatcherExactly)
 
 INSTANTIATE_TEST_SUITE_P(RandomGraphs, VmDifferential,
                          ::testing::Range(0, 25));
-
-// --- incremental search inside runEqSat ------------------------------
-
-class IncrementalEqSat : public ::testing::TestWithParam<int> {};
-
-// Incremental search is an internal shortcut: a run with it on must be
-// observably identical to a full-search run — same statistics (wall
-// clock aside), same final graph shape, same extraction.
-TEST_P(IncrementalEqSat, FullAndIncrementalRunsAreIdentical)
-{
-    const int param = GetParam();
-    Rng rng(9000 + static_cast<uint64_t>(param));
-    TermPtr original = randomIntTerm(rng, 4);
-    static const auto rules =
-        rules::defaultLibrary().select(kRuleInt, kRuleVector | kRuleFloat);
-
-    EqSatLimits limits;
-    limits.maxIterations = 6;
-    limits.maxSeconds = 10.0;
-    // Vary the pressure so cap truncation, backoff bans, and node-limit
-    // stops all occur across the parameter range.
-    limits.maxNodes = (param % 3 == 0) ? 300 : 4000;
-    limits.useBackoff = (param % 2 == 1);
-    limits.maxMatchesPerRule = (param % 4 == 2) ? 40 : 2048;
-
-    EqSatStats stats[2];
-    std::string extracted[2];
-    double cost[2];
-    size_t nodes[2], classes[2];
-    for (int mode = 0; mode < 2; ++mode) {
-        EGraph g;
-        EClassId root = g.addTerm(original);
-        EqSatLimits l = limits;
-        l.incrementalSearch = (mode == 1);
-        stats[mode] = runEqSat(g, rules, l);
-        nodes[mode] = g.numNodes();
-        classes[mode] = g.numClasses();
-        Extraction ex = Extractor(g, astSizeCost).extract(root);
-        extracted[mode] = termToString(ex.term);
-        cost[mode] = ex.cost;
-    }
-
-    EXPECT_EQ(stats[0].iterations, stats[1].iterations);
-    EXPECT_EQ(stats[0].peakNodes, stats[1].peakNodes);
-    EXPECT_EQ(stats[0].peakClasses, stats[1].peakClasses);
-    EXPECT_EQ(stats[0].applications, stats[1].applications);
-    EXPECT_EQ(stats[0].rulesBanned, stats[1].rulesBanned);
-    EXPECT_EQ(stats[0].skippedRules, stats[1].skippedRules);
-    EXPECT_EQ(stats[0].stopReason, stats[1].stopReason);
-    EXPECT_EQ(nodes[0], nodes[1]);
-    EXPECT_EQ(classes[0], classes[1]);
-    EXPECT_EQ(extracted[0], extracted[1]);
-    EXPECT_EQ(cost[0], cost[1]);
-}
-
-INSTANTIATE_TEST_SUITE_P(RandomTerms, IncrementalEqSat,
-                         ::testing::Range(0, 16));
 
 // --- worklist extractor vs full-sweep oracle -------------------------
 
@@ -300,54 +240,6 @@ TEST(OpIndexTest, MatchesFullScanOnRandomGraphs)
     }
 }
 
-// --- dirty stamps ----------------------------------------------------
-
-TEST(DirtyStampTest, MergeDirtiesAncestorsOnly)
-{
-    EGraph g;
-    EClassId sum = g.addTerm(parseTerm("(+ $0.0 $0.1)"));
-    EClassId prod = g.addTerm(parseTerm("(* (+ $0.0 $0.1) 2)"));
-    EClassId other = g.addTerm(parseTerm("(- $0.2 1)"));
-    g.rebuild();
-    const uint64_t snapshot = g.matchClock();
-    EXPECT_TRUE(g.classesDirtySince(snapshot).empty());
-
-    g.merge(sum, other);
-    g.rebuild();
-    // The merged class and its ancestors (the product) are newly dirty;
-    // untouched classes (the literal 2, the leaves) keep their stamps.
-    EXPECT_GT(g.classStamp(g.find(sum)), snapshot);
-    EXPECT_GT(g.classStamp(g.find(prod)), snapshot);
-    EXPECT_LE(g.classStamp(g.find(g.addTerm(lit(2)))), snapshot);
-
-    const auto dirty = g.classesDirtySince(snapshot);
-    std::vector<EClassId> want = {g.find(sum), g.find(prod)};
-    std::sort(want.begin(), want.end());
-    want.erase(std::unique(want.begin(), want.end()), want.end());
-    EXPECT_EQ(dirty, want);
-}
-
-TEST(DirtyStampTest, DirtinessPropagatesThroughDeepChains)
-{
-    EGraph g;
-    // x0 = $0.0; x{i+1} = (+ x{i} 1): a chain of parents.
-    TermPtr t = arg(0, 0);
-    std::vector<EClassId> chain = {g.addTerm(t)};
-    for (int i = 0; i < 6; ++i) {
-        t = makeTerm(Op::Add, {t, lit(1)});
-        chain.push_back(g.addTerm(t));
-    }
-    EClassId zero = g.addTerm(lit(0));
-    g.rebuild();
-    const uint64_t snapshot = g.matchClock();
-
-    g.merge(chain[0], zero);
-    g.rebuild();
-    for (EClassId link : chain) {
-        EXPECT_GT(g.classStamp(g.find(link)), snapshot);
-    }
-}
-
 // --- O(1) node count and class-id snapshot ---------------------------
 
 TEST(NodeCountTest, MatchesExhaustiveCountUnderMerges)
@@ -383,55 +275,6 @@ TEST(ClassIdsTest, SnapshotIsSortedUniqueAndCanonical)
     for (EClassId id : ids) {
         EXPECT_EQ(g.find(id), id);
     }
-}
-
-// --- incremental searchPattern driver --------------------------------
-
-TEST(SearchPatternTest, IncrementalSkipsCleanClassesButCountsThem)
-{
-    EGraph g;
-    g.addTerm(parseTerm("(+ (* $0.0 2) (* $0.1 2))"));
-    EClassId extra = g.addTerm(parseTerm("(- $0.2 $0.3)"));
-    g.rebuild();
-    const PatternProgram program =
-        PatternProgram::compile(parseTerm("(* ?0 2)"));
-
-    IncrementalSearchState state;
-    SearchResult first = searchPattern(g, program, 4096, &state);
-    EXPECT_EQ(first.matches.size(), 2u);
-    EXPECT_EQ(first.totalCount, 2u);
-    ASSERT_TRUE(state.valid);
-
-    // An unrelated merge leaves both Mul classes clean: the next search
-    // re-enumerates nothing yet still accounts for both matches.
-    g.merge(extra, g.addTerm(lit(7)));
-    g.rebuild();
-    SearchResult second = searchPattern(g, program, 4096, &state);
-    EXPECT_TRUE(second.matches.empty());
-    EXPECT_EQ(second.totalCount, 2u);
-    EXPECT_EQ(second.cachedAfter, 2u);
-
-    // Touching a Mul class (via its child) re-enumerates just that one.
-    const auto muls = g.classesWithOp(Op::Mul);
-    ASSERT_EQ(muls.size(), 2u);
-    g.merge(g.addTerm(arg(0, 0)), g.addTerm(lit(3)));
-    g.rebuild();
-    SearchResult third = searchPattern(g, program, 4096, &state);
-    EXPECT_EQ(third.matches.size(), 1u);
-    EXPECT_EQ(third.totalCount, 2u);
-}
-
-TEST(SearchPatternTest, TruncationInvalidatesState)
-{
-    EGraph g;
-    g.addTerm(parseTerm("(+ (* $0.0 2) (* $0.1 2))"));
-    g.rebuild();
-    const PatternProgram program =
-        PatternProgram::compile(parseTerm("(* ?0 2)"));
-    IncrementalSearchState state;
-    SearchResult result = searchPattern(g, program, 2, &state);
-    EXPECT_TRUE(result.truncated);
-    EXPECT_FALSE(state.valid);
 }
 
 }  // namespace

@@ -111,32 +111,28 @@ TEST(RewriteParallelTest, ThousandCaseSerialParallelDifferential)
     setGlobalThreads(0);
 }
 
-TEST(RewriteParallelTest, BackoffAndIncrementalModesMatchSerial)
+TEST(RewriteParallelTest, MatchCapBandMatchesSerial)
 {
-    // Backoff and match caps change which matches are applied; spot
-    // check a band of seeds under each knob.
+    // A tight match cap changes which matches are applied; spot check a
+    // band of seeds under it.
     for (uint64_t seed = 0; seed < 32; ++seed) {
-        for (const bool backoff : {false, true}) {
-            EqSatLimits limits;
-            limits.maxIterations = 5;
-            limits.maxSeconds = 1e9;
-            limits.useBackoff = backoff;
-            limits.maxMatchesPerRule = 8;
-            auto run = [&](size_t threads) {
-                setGlobalThreads(threads);
-                Rng rng(seed);
-                EGraph g;
-                for (size_t t = 0; t < 3; ++t) {
-                    g.addTerm(randomTerm(rng, 3));
-                }
-                runEqSat(g, differentialRules(), limits);
-                return dumpText(g);
-            };
-            const std::string serial = run(1);
-            const std::string parallel = run(4);
-            ASSERT_EQ(serial, parallel)
-                << "seed " << seed << " backoff " << backoff;
-        }
+        EqSatLimits limits;
+        limits.maxIterations = 5;
+        limits.maxSeconds = 1e9;
+        limits.maxMatchesPerRule = 8;
+        auto run = [&](size_t threads) {
+            setGlobalThreads(threads);
+            Rng rng(seed);
+            EGraph g;
+            for (size_t t = 0; t < 3; ++t) {
+                g.addTerm(randomTerm(rng, 3));
+            }
+            runEqSat(g, differentialRules(), limits);
+            return dumpText(g);
+        };
+        const std::string serial = run(1);
+        const std::string parallel = run(4);
+        ASSERT_EQ(serial, parallel) << "seed " << seed;
     }
     setGlobalThreads(0);
 }
