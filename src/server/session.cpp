@@ -599,22 +599,28 @@ std::shared_ptr<const AnalyzedWorkload>
 SharedState::getOrAnalyze(const std::string& name)
 {
     std::lock_guard<std::mutex> lock(workloadMutex_);
-    auto it = workloads_.find(name);
-    if (it != workloads_.end()) {
+    auto it = byRequestedName_.find(name);
+    if (it != byRequestedName_.end()) {
         return it->second;
     }
     auto workload = workloads::find(name);
     if (!workload.has_value()) {
         return nullptr;
     }
-    auto analyzed = std::make_shared<AnalyzedWorkload>(
-        analyzeWorkload(std::move(*workload)));
-    // Prime the e-graph's lazy read caches while we still hold the
-    // insertion lock: after this the shared graph is only ever read, so
-    // concurrent sessions never race on a refresh (see EGraph docs).
-    analyzed->program.egraph.classIds();
-    workloads_.emplace(name, analyzed);
-    return analyzed;
+    auto resolved = workloads_.find(workload->name);
+    if (resolved == workloads_.end()) {
+        const std::string key = workload->name;
+        auto analyzed = std::make_shared<AnalyzedWorkload>(
+            analyzeWorkload(std::move(*workload)));
+        // Prime the e-graph's lazy read caches while we still hold the
+        // insertion lock: after this the shared graph is only ever read,
+        // so concurrent sessions never race on a refresh (see EGraph
+        // docs).
+        analyzed->program.egraph.classIds();
+        resolved = workloads_.emplace(key, std::move(analyzed)).first;
+    }
+    byRequestedName_.emplace(name, resolved->second);
+    return resolved->second;
 }
 
 const rules::RulesetLibrary&
@@ -667,7 +673,7 @@ SharedState::runAnalysis(const Request& request, Budget& rootBudget)
                            request.deadlineMs == 0.0 &&
                            request.maxUnits == 0 &&
                            request.threads == 0;
-    const std::string cacheKey = request.workload + '\x1f' +
+    const std::string cacheKey = analyzed->workload.name + '\x1f' +
                                  rii::modeName(*mode) + '\x1f' +
                                  (request.extendedRules ? "x" : "-");
     if (cacheable) {
@@ -676,6 +682,7 @@ SharedState::runAnalysis(const Request& request, Budget& rootBudget)
         if (it != responseCache_.end()) {
             Response cached = it->second;
             cached.idJson = request.idJson;
+            cached.workload = request.workload;
             cached.cached = true;
             return cached;
         }
@@ -716,11 +723,10 @@ SharedState::runAnalysis(const Request& request, Budget& rootBudget)
         config.parentBudget = &rootBudget;
         const rules::RulesetLibrary& library =
             request.extendedRules ? extendedLibrary() : default_;
-        // Thread-pinned requests exist to exercise the pipeline at that
-        // width, so they must not be satisfied from the corpus (the warm
-        // wrapper also self-bypasses its result cache under armed faults
-        // or a constrained root budget).
-        const bool warm = corpus_ != nullptr && request.threads == 0;
+        // The corpus is a second response cache, so the same requests
+        // bypass it (the warm wrapper also self-bypasses under armed
+        // faults or a constrained root budget).
+        const bool warm = corpus_ != nullptr && cacheable;
         rii::RiiResult result =
             warm ? corpus::identifyInstructions(*analyzed, library,
                                                 config, *corpus_)

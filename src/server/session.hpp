@@ -258,8 +258,9 @@ class SharedState {
      * Persisting the corpus to disk stays the serving loop's job
      * (checkpoint saves at purge sweeps), which is how read-only mounts
      * stay warm without writes.
-     * Requests that pin a thread count bypass the corpus entirely: their
-     * point is to exercise the pipeline at that width.
+     * Only requests that may use the response cache use the corpus:
+     * `"cache": false`, a budget, an injection or a pinned thread count
+     * bypass both, because such a request must actually run.
      */
     void attachCorpus(corpus::Corpus* corpus);
 
@@ -289,9 +290,15 @@ class SharedState {
 
     std::shared_mutex isolation_;
 
+    // Analyzed workloads keyed by Workload::name, plus every requested
+    // spelling that resolved to one of them ("PCL/sac", "pcl/sac" and
+    // "sac" share one analysis), so a repeated spelling skips building
+    // a Workload.
     mutable std::mutex workloadMutex_;
     std::unordered_map<std::string, std::shared_ptr<const AnalyzedWorkload>>
         workloads_;
+    std::unordered_map<std::string, std::shared_ptr<const AnalyzedWorkload>>
+        byRequestedName_;
 
     // Rule libraries compile once per process, not once per request --
     // half of the warm-start story.  The extended library is rarely
@@ -301,7 +308,7 @@ class SharedState {
     std::unique_ptr<rules::RulesetLibrary> extended_;  // built on demand
 
     // Response cache: deterministic documents keyed by
-    // workload/mode/extended.  Only unconstrained, fault-free requests
+    // Workload::name/mode/extended.  Only unconstrained, fault-free requests
     // hit or fill it (anything budgeted or injected must re-run).
     mutable std::mutex cacheMutex_;
     std::unordered_map<std::string, Response> responseCache_;

@@ -368,7 +368,7 @@ TEST(ObservedServeTest, NonOkResponsesDumpFlightTraces)
 
     // Each non-ok response must have left a parseable, request-id-named
     // Perfetto trace; the ok one (no SLO configured) must not.
-    for (const std::string& req : {"r-2", "r-3", "r-4"}) {
+    for (const char* req : {"r-2", "r-3", "r-4"}) {
         const std::string path = dir + "/flight_" + req + ".json";
         std::ifstream in(path);
         ASSERT_TRUE(in.good()) << "missing flight dump " << path;
@@ -583,6 +583,45 @@ TEST(ObservedServeTest, CorpusOpReportsSectionsWhenAttached)
     // Those four plus "sections" are all of it: no pattern-library
     // counter is left.
     EXPECT_EQ(corpus->members.size(), 5u);
+    std::filesystem::remove(path);
+}
+
+TEST(ObservedServeTest, UncachedRequestsBypassTheCorpus)
+{
+    const std::string path = ::testing::TempDir() +
+                             "isamore_observe_uncached_corpus_test.bin";
+    std::filesystem::remove(path);
+
+    ServeOptions options;
+    options.lanes = 1;
+    options.corpusPath = path;
+    std::vector<std::string> rawLines;
+    const std::vector<JsonValue> responses = runObservedSession(
+        {
+            "{\"id\": \"a\", \"workload\": \"matmul\"}",
+            "{\"id\": \"c1\", \"op\": \"corpus\"}",
+            "{\"id\": \"b\", \"workload\": \"matmul\", \"cache\": false}",
+            "{\"id\": \"c2\", \"op\": \"corpus\"}",
+        },
+        options, nullptr, &rawLines);
+    ASSERT_EQ(responses.size(), 4u);
+
+    const JsonValue uncached = metricsAnswer(responses, rawLines, "b").second;
+    ASSERT_NE(uncached.find("status"), nullptr);
+    EXPECT_EQ(uncached.find("status")->text, "ok");
+    EXPECT_EQ(uncached.find("cached"), nullptr);
+
+    // "cache": false ran the pipeline: the corpus saw neither a hit nor
+    // a miss.  The counters are process-wide, so compare the two
+    // answers of this session.
+    const JsonValue before = metricsAnswer(responses, rawLines, "c1").second;
+    const JsonValue after = metricsAnswer(responses, rawLines, "c2").second;
+    ASSERT_NE(before.find("corpus"), nullptr);
+    ASSERT_NE(after.find("corpus"), nullptr);
+    EXPECT_EQ(after.find("corpus")->find("hits")->number,
+              before.find("corpus")->find("hits")->number);
+    EXPECT_EQ(after.find("corpus")->find("misses")->number,
+              before.find("corpus")->find("misses")->number);
     std::filesystem::remove(path);
 }
 

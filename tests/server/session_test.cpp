@@ -342,6 +342,32 @@ TEST(SharedStateTest, ResponseCacheHitsAreByteIdentical)
     EXPECT_EQ(stripWallClock(first.result), stripWallClock(fresh.result));
 }
 
+TEST(SharedStateTest, WorkloadAliasesShareOneAnalysisAndCacheEntry)
+{
+    // The full, lower-case and bare spellings of one library module
+    // resolve to one workload: one analysis, one response-cache entry.
+    SharedState state;
+    Budget root;
+    for (const char* name : {"PCL/sac", "pcl/sac", "sac"}) {
+        const Response response =
+            state.executeRequest(analyzeRequest(name), root);
+        ASSERT_EQ(response.status, Status::Ok) << name;
+        // Each answer still echoes the spelling its request used.
+        EXPECT_EQ(response.workload, name);
+        state.recordServed(response.status, response.cached);
+    }
+
+    Request stats;
+    stats.op = RequestOp::Stats;
+    stats.valid = true;
+    const Response response = state.executeRequest(stats, root);
+    JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(parseJson(response.statsJson, doc, error)) << error;
+    EXPECT_DOUBLE_EQ(doc.find("workloadsCached")->number, 1.0);
+    EXPECT_DOUBLE_EQ(doc.find("cacheHits")->number, 2.0);
+}
+
 TEST(SharedStateTest, HundredSequentialRequestsDoNotGrowInternTable)
 {
     // The long-run memory contract: re-analyzing the same workload over
