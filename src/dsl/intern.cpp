@@ -16,11 +16,16 @@ namespace {
  * ever feeds the hash).
  */
 uint64_t
+nodeHashPrefix(Op op, const Payload& payload)
+{
+    return hashCombine(mix64(static_cast<uint64_t>(op)), payload.hash());
+}
+
+uint64_t
 nodeHash(Op op, const Payload& payload,
          const std::vector<TermPtr>& children)
 {
-    uint64_t h = mix64(static_cast<uint64_t>(op));
-    h = hashCombine(h, payload.hash());
+    uint64_t h = nodeHashPrefix(op, payload);
     for (const auto& child : children) {
         h = hashCombine(h, child->hash);
     }
@@ -272,13 +277,49 @@ copyTopologyUninterned(const TermPtr& term)
 
 namespace {
 
+/**
+ * First-occurrence hole numbering, assigned while a pre-order walk meets
+ * each hole: the n-th distinct hole id met gets number n, the order
+ * termHoles() lists them in.  Every canonical-form walk below uses it,
+ * so the canonical hash, the canonical equality and the materialized
+ * view agree by construction.  The id list is per-thread scratch, so
+ * at most one numbering may be alive per thread (none of the walks
+ * below starts another).
+ */
+class HoleNumbering {
+ public:
+    HoleNumbering() : ids_(scratch()) { ids_.clear(); }
+
+    int64_t
+    number(int64_t holeId)
+    {
+        for (size_t i = 0; i < ids_.size(); ++i) {
+            if (ids_[i] == holeId) {
+                return static_cast<int64_t>(i);
+            }
+        }
+        ids_.push_back(holeId);
+        return static_cast<int64_t>(ids_.size() - 1);
+    }
+
+ private:
+    static std::vector<int64_t>&
+    scratch()
+    {
+        thread_local std::vector<int64_t> ids;
+        return ids;
+    }
+
+    std::vector<int64_t>& ids_;
+};
+
 TermPtr
-renameHolesUninterned(const TermPtr& term,
-                      const std::unordered_map<int64_t, int64_t>& renaming)
+renameHolesUninterned(const TermPtr& term, HoleNumbering& numbering)
 {
     if (term->op == Op::Hole) {
         return makeTermUninterned(
-            Op::Hole, Payload::ofInt(renaming.at(term->payload.a)), {});
+            Op::Hole, Payload::ofInt(numbering.number(term->payload.a)),
+            {});
     }
     if (!term->hasHole) {
         return term;
@@ -286,10 +327,52 @@ renameHolesUninterned(const TermPtr& term,
     std::vector<TermPtr> children;
     children.reserve(term->children.size());
     for (const auto& child : term->children) {
-        children.push_back(renameHolesUninterned(child, renaming));
+        children.push_back(renameHolesUninterned(child, numbering));
     }
     return makeTermUninterned(term->op, term->payload,
                               std::move(children));
+}
+
+uint64_t
+canonicalHash(const TermPtr& term, HoleNumbering& numbering)
+{
+    if (term->op == Op::Hole) {
+        return nodeHashPrefix(
+            Op::Hole, Payload::ofInt(numbering.number(term->payload.a)));
+    }
+    if (!term->hasHole) {
+        return term->hash;
+    }
+    uint64_t h = nodeHashPrefix(term->op, term->payload);
+    for (const auto& child : term->children) {
+        h = hashCombine(h, canonicalHash(child, numbering));
+    }
+    return h;
+}
+
+bool
+canonicalEquals(const TermPtr& canonical, const TermPtr& term,
+                HoleNumbering& numbering)
+{
+    if (term->op == Op::Hole) {
+        return canonical->op == Op::Hole &&
+               canonical->payload ==
+                   Payload::ofInt(numbering.number(term->payload.a));
+    }
+    if (!term->hasHole) {
+        return termEquals(canonical, term);
+    }
+    if (canonical->op != term->op || canonical->payload != term->payload ||
+        canonical->children.size() != term->children.size()) {
+        return false;
+    }
+    for (size_t i = 0; i < term->children.size(); ++i) {
+        if (!canonicalEquals(canonical->children[i], term->children[i],
+                             numbering)) {
+            return false;
+        }
+    }
+    return true;
 }
 
 }  // namespace
@@ -297,16 +380,25 @@ renameHolesUninterned(const TermPtr& term,
 TermPtr
 canonicalizeHolesUninterned(const TermPtr& term)
 {
-    const auto order = termHoles(term);
-    if (order.empty()) {
+    if (!term->hasHole) {
         return term;
     }
-    std::unordered_map<int64_t, int64_t> renaming;
-    renaming.reserve(order.size());
-    for (size_t i = 0; i < order.size(); ++i) {
-        renaming.emplace(order[i], static_cast<int64_t>(i));
-    }
-    return renameHolesUninterned(term, renaming);
+    HoleNumbering numbering;
+    return renameHolesUninterned(term, numbering);
+}
+
+uint64_t
+canonicalHoleHash(const TermPtr& term)
+{
+    HoleNumbering numbering;
+    return canonicalHash(term, numbering);
+}
+
+bool
+canonicalHolesEqual(const TermPtr& canonical, const TermPtr& term)
+{
+    HoleNumbering numbering;
+    return canonicalEquals(canonical, term, numbering);
 }
 
 uint64_t

@@ -89,6 +89,21 @@ TermPtr makeTermUninterned(Op op, Payload payload,
 TermPtr canonicalizeHolesUninterned(const TermPtr& term);
 
 /**
+ * canonicalizeHolesUninterned(@p term)->hash, computed without building
+ * anything: hole-free subtrees contribute their cached hash and each
+ * hole its first-occurrence number.
+ */
+uint64_t canonicalHoleHash(const TermPtr& term);
+
+/**
+ * termEquals(@p canonical, canonicalizeHolesUninterned(@p term)),
+ * decided without building anything.  Lets a table of canonical terms
+ * be probed with raw candidates, so only first occurrences are ever
+ * materialized (the AU merge and PatternRegistry::add).
+ */
+bool canonicalHolesEqual(const TermPtr& canonical, const TermPtr& term);
+
+/**
  * Uninterned copy of @p term that preserves its internal sharing: every
  * distinct node of the source DAG maps to exactly one fresh node, so
  * the copy's pointer topology mirrors the source but is private to the

@@ -50,10 +50,16 @@ PatternProgram::compileNode(const TermPtr& node, uint16_t reg)
     }
 }
 
+const std::vector<EClassId>&
+PatternProgram::candidateRoots(const EGraph& egraph) const
+{
+    return rootIsHole() ? egraph.classIds() : egraph.classesWithOp(rootOp_);
+}
+
+template <typename OnMatch>
 size_t
-PatternProgram::matchAt(const EGraph& egraph, EClassId root,
-                        size_t maxMatches, std::vector<Subst>& out,
-                        MatchScratch& scratch) const
+PatternProgram::run(const EGraph& egraph, EClassId root, size_t maxMatches,
+                    MatchScratch& scratch, const OnMatch& onMatch) const
 {
     if (maxMatches == 0) {
         return 0;
@@ -79,12 +85,7 @@ PatternProgram::matchAt(const EGraph& egraph, EClassId root,
     for (;;) {
         bool fail = false;
         if (pc == end) {
-            Subst subst;
-            subst.reserve(slots.size());
-            for (size_t s = 0; s < slots.size(); ++s) {
-                subst.emplace(slotHoleIds_[s], slots[s]);
-            }
-            out.push_back(std::move(subst));
+            onMatch(slots);
             if (++found >= maxMatches) {
                 return found;
             }
@@ -140,14 +141,37 @@ PatternProgram::matchAt(const EGraph& egraph, EClassId root,
     }
 }
 
+size_t
+PatternProgram::matchAt(const EGraph& egraph, EClassId root,
+                        size_t maxMatches, std::vector<Subst>& out,
+                        MatchScratch& scratch) const
+{
+    return run(egraph, root, maxMatches, scratch,
+               [&](const std::vector<EClassId>& slots) {
+                   Subst subst;
+                   subst.reserve(slots.size());
+                   for (size_t s = 0; s < slots.size(); ++s) {
+                       subst.emplace(slotHoleIds_[s], slots[s]);
+                   }
+                   out.push_back(std::move(subst));
+               });
+}
+
+size_t
+PatternProgram::countAt(const EGraph& egraph, EClassId root,
+                        size_t maxMatches, MatchScratch& scratch) const
+{
+    return run(egraph, root, maxMatches, scratch,
+               [](const std::vector<EClassId>&) {});
+}
+
 std::vector<EMatch>
 searchPattern(const EGraph& egraph, const PatternProgram& program,
               size_t maxTotal)
 {
     std::vector<EMatch> matches;
     const std::vector<EClassId>& candidates =
-        program.rootIsHole() ? egraph.classIds()
-                             : egraph.classesWithOp(program.rootOp());
+        program.candidateRoots(egraph);
     // The VM scratch and the per-class substitution buffer survive across
     // calls (per thread) so a search allocates nothing but its results.
     thread_local MatchScratch scratch;

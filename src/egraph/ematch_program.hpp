@@ -53,6 +53,10 @@ class PatternProgram {
     /** Whether the whole pattern is a bare hole (matches any class). */
     bool rootIsHole() const { return rootOp_ == Op::Hole; }
 
+    /** The classes a search must try as roots, ascending: every class
+     *  for a bare hole, else those holding a node with rootOp(). */
+    const std::vector<EClassId>& candidateRoots(const EGraph& egraph) const;
+
     /**
      * Enumerate matches rooted at @p root, appending at most
      * @p maxMatches substitutions to @p out.  @p scratch is caller-owned
@@ -61,6 +65,14 @@ class PatternProgram {
      */
     size_t matchAt(const EGraph& egraph, EClassId root, size_t maxMatches,
                    std::vector<Subst>& out, MatchScratch& scratch) const;
+
+    /**
+     * The number matchAt() would return, under the same cap, without
+     * building any substitution.  For callers that need only which
+     * classes match (the cost model's use sites).
+     */
+    size_t countAt(const EGraph& egraph, EClassId root, size_t maxMatches,
+                   MatchScratch& scratch) const;
 
  private:
     enum class Kind : uint8_t { Bind, BindHole, Compare };
@@ -76,6 +88,12 @@ class PatternProgram {
     };
 
     void compileNode(const TermPtr& node, uint16_t reg);
+
+    /** The VM: enumerate up to @p maxMatches matches at @p root, calling
+     *  @p onMatch with the slot bindings of each; returns the count. */
+    template <typename OnMatch>
+    size_t run(const EGraph& egraph, EClassId root, size_t maxMatches,
+               MatchScratch& scratch, const OnMatch& onMatch) const;
 
     std::vector<Insn> insns_;
     std::vector<int64_t> slotHoleIds_;  // slot index -> hole id

@@ -1,8 +1,5 @@
 #include "egraph/extract.hpp"
 
-#include <set>
-#include <unordered_set>
-
 #include "support/check.hpp"
 #include "support/telemetry.hpp"
 
@@ -19,7 +16,8 @@ astSizeCost(const ENode& /*node*/, const std::vector<double>& childCosts)
 }
 
 Extractor::Extractor(const EGraph& egraph, CostFn costFn)
-    : egraph_(egraph), costFn_(std::move(costFn))
+    : egraph_(egraph), costFn_(std::move(costFn)),
+      bestCost_(egraph.numIds(), 0.0), bestNode_(egraph.numIds(), nullptr)
 {
     ISAMORE_USER_CHECK(!egraph_.needsRebuild(),
                        "extract requires a rebuilt e-graph");
@@ -40,29 +38,28 @@ Extractor::Extractor(const EGraph& egraph, CostFn costFn)
     TELEM_SPAN("extract.relax", "extract");
     uint64_t evals = 0;
     uint64_t improvements = 0;
+    std::vector<double> childCosts;
     auto evaluate = [&](EClassId id) {
         ++evals;
         bool improved = false;
         for (const ENode& node : egraph_.cls(id).nodes) {
-            std::vector<double> childCosts;
-            childCosts.reserve(node.children.size());
+            childCosts.clear();
             bool feasible = true;
             for (EClassId child : node.children) {
-                auto it = bestCost_.find(egraph_.find(child));
-                if (it == bestCost_.end()) {
+                const EClassId c = egraph_.find(child);
+                if (bestNode_[c] == nullptr) {
                     feasible = false;
                     break;
                 }
-                childCosts.push_back(it->second);
+                childCosts.push_back(bestCost_[c]);
             }
             if (!feasible) {
                 continue;
             }
             const double cost = costFn_(node, childCosts);
-            auto it = bestCost_.find(id);
-            if (it == bestCost_.end() || cost < it->second - 1e-12) {
+            if (bestNode_[id] == nullptr || cost < bestCost_[id] - 1e-12) {
                 bestCost_[id] = cost;
-                bestNode_[id] = node;
+                bestNode_[id] = &node;
                 improved = true;
                 ++improvements;
             }
@@ -70,28 +67,47 @@ Extractor::Extractor(const EGraph& egraph, CostFn costFn)
         return improved;
     };
 
-    // Only classes holding a leaf node can become extractable unprompted;
-    // everything else activates when a child first gets a cost.
-    std::set<EClassId> current;
-    std::set<EClassId> next;
+    // The worklists are bitmaps over class ids, drained in ascending id
+    // order: a parent above the class being evaluated joins the current
+    // pass, where the scan has not reached it yet, and any other parent
+    // the next pass.  Only classes holding a leaf node can become
+    // extractable unprompted; everything else activates when a child
+    // first gets a cost.
+    const size_t words = (egraph_.numIds() + 63) / 64;
+    std::vector<uint64_t> current(words, 0);
+    std::vector<uint64_t> next(words, 0);
+    auto mark = [](std::vector<uint64_t>& set, EClassId id) {
+        set[id >> 6] |= uint64_t{1} << (id & 63);
+    };
+    bool pending = false;
     for (EClassId id : egraph_.classIds()) {
         for (const ENode& node : egraph_.cls(id).nodes) {
             if (node.children.empty()) {
-                current.insert(id);
+                mark(current, id);
+                pending = true;
                 break;
             }
         }
     }
-    while (!current.empty()) {
-        while (!current.empty()) {
-            const EClassId id = *current.begin();
-            current.erase(current.begin());
-            if (!evaluate(id)) {
-                continue;
-            }
-            for (const auto& use : egraph_.cls(id).parents) {
-                const EClassId parent = egraph_.find(use.second);
-                (parent > id ? current : next).insert(parent);
+    while (pending) {
+        pending = false;
+        for (size_t w = 0; w < words; ++w) {
+            while (current[w] != 0) {
+                const EClassId id = static_cast<EClassId>(
+                    w * 64 + static_cast<size_t>(__builtin_ctzll(current[w])));
+                current[w] &= current[w] - 1;
+                if (!evaluate(id)) {
+                    continue;
+                }
+                for (const auto& use : egraph_.cls(id).parents) {
+                    const EClassId parent = egraph_.find(use.second);
+                    if (parent > id) {
+                        mark(current, parent);
+                    } else {
+                        mark(next, parent);
+                        pending = true;
+                    }
+                }
             }
         }
         current.swap(next);
@@ -106,40 +122,37 @@ Extractor::Extractor(const EGraph& egraph, CostFn costFn)
 std::optional<double>
 Extractor::costOf(EClassId klass) const
 {
-    auto it = bestCost_.find(egraph_.find(klass));
-    if (it == bestCost_.end()) {
+    const EClassId id = egraph_.find(klass);
+    if (bestNode_[id] == nullptr) {
         return std::nullopt;
     }
-    return it->second;
+    return bestCost_[id];
 }
 
 const ENode*
 Extractor::chosenNode(EClassId klass) const
 {
-    auto it = bestNode_.find(egraph_.find(klass));
-    return it == bestNode_.end() ? nullptr : &it->second;
+    return bestNode_[egraph_.find(klass)];
 }
 
 namespace {
 
 TermPtr
-materialize(const EGraph& egraph,
-            const std::unordered_map<EClassId, ENode>& bestNode,
-            EClassId klass, std::unordered_map<EClassId, TermPtr>& memo,
-            std::unordered_set<EClassId>& inProgress)
+materialize(const EGraph& egraph, const std::vector<const ENode*>& bestNode,
+            EClassId klass, std::vector<TermPtr>& memo,
+            std::vector<uint8_t>& inProgress)
 {
     klass = egraph.find(klass);
-    auto memoized = memo.find(klass);
-    if (memoized != memo.end()) {
-        return memoized->second;
+    if (memo[klass] != nullptr) {
+        return memo[klass];
     }
-    ISAMORE_CHECK_MSG(inProgress.insert(klass).second,
+    ISAMORE_CHECK_MSG(bestNode[klass] != nullptr,
+                      "class has no extractable ground term");
+    ISAMORE_CHECK_MSG(inProgress[klass] == 0,
                       "cyclic extraction choice; cost function must "
                       "strictly increase along edges");
-    auto it = bestNode.find(klass);
-    ISAMORE_CHECK_MSG(it != bestNode.end(),
-                      "class has no extractable ground term");
-    const ENode& node = it->second;
+    inProgress[klass] = 1;
+    const ENode& node = *bestNode[klass];
     std::vector<TermPtr> children;
     children.reserve(node.children.size());
     for (EClassId child : node.children) {
@@ -147,8 +160,8 @@ materialize(const EGraph& egraph,
             materialize(egraph, bestNode, child, memo, inProgress));
     }
     TermPtr term = makeTerm(node.op, node.payload, std::move(children));
-    inProgress.erase(klass);
-    memo.emplace(klass, term);
+    inProgress[klass] = 0;
+    memo[klass] = term;
     return term;
 }
 
@@ -163,9 +176,12 @@ Extractor::extract(EClassId root) const
     root = egraph_.find(root);
     auto cost = costOf(root);
     ISAMORE_CHECK_MSG(cost.has_value(), "root class is not extractable");
-    std::unordered_set<EClassId> inProgress;
+    if (termMemo_.empty()) {
+        termMemo_.resize(bestNode_.size());
+        inProgress_.resize(bestNode_.size(), 0);
+    }
     Extraction out;
-    out.term = materialize(egraph_, bestNode_, root, termMemo_, inProgress);
+    out.term = materialize(egraph_, bestNode_, root, termMemo_, inProgress_);
     out.cost = *cost;
     return out;
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "dsl/intern.hpp"
 #include "egraph/extract.hpp"
@@ -31,26 +30,6 @@ struct PairKeyHash {
     operator()(const PairKey& k) const
     {
         return hashCombine(mix64(k.a), k.b);
-    }
-};
-
-/**
- * Structural hash/equality for deduplicating canonical patterns.  With
- * the hash-consed term layer both are O(1): the hash is a cached field
- * and equality a pointer compare for interned terms.
- */
-struct TermPtrHash {
-    size_t
-    operator()(const TermPtr& term) const
-    {
-        return static_cast<size_t>(term->hash);
-    }
-};
-struct TermPtrEq {
-    bool
-    operator()(const TermPtr& a, const TermPtr& b) const
-    {
-        return termEquals(a, b);
     }
 };
 
@@ -195,11 +174,17 @@ struct SweepContext {
     const ClassMap<TermPtr>& reprs;  ///< small representatives, AU(a, a)
 };
 
+/** A filtered pattern as AU produced it, with its canonical hash. */
+struct Produced {
+    uint64_t canonicalHash;  ///< canonicalHoleHash(term)
+    TermPtr term;            ///< raw: the shard's hole numbering
+};
+
 /** What one explored pair contributed, recorded in sweep order. */
 struct PairRecord {
     bool skipped = false;       ///< fault / per-pair deadline / exception
     size_t rawCandidates = 0;   ///< candidates enumerated for this pair
-    std::vector<TermPtr> patterns;  ///< filtered, hole-canonical, un-deduped
+    std::vector<Produced> patterns;  ///< filtered, un-deduped
 };
 
 /** One chunk's outcome: a prefix of its pair range plus why it ended. */
@@ -223,18 +208,28 @@ struct ChunkOutcome {
  * The anti-unification engine for one chunk of the pair list.
  *
  * Each shard owns its memo, hole namespace, and cycle-breaking set, so
- * shards never synchronize; canonicalizeHoles() renumbers every emitted
- * pattern's holes by first occurrence, which makes the per-shard hole
- * namespace invisible in the output.  The merge in identifyPatterns()
- * replays the serial sweep's control flow over the recorded chunks in
- * pair order, so the result is independent of the thread count.
+ * shards never synchronize.  Emitted patterns keep the shard's hole ids;
+ * the merge in identifyPatterns() deduplicates them by their first-
+ * occurrence hole numbering (canonicalHoleHash/canonicalHolesEqual) and
+ * materializes only first occurrences, which makes the per-shard hole
+ * namespace invisible in the output.  The merge replays the serial
+ * sweep's control flow over the recorded chunks in pair order, so the
+ * result is independent of the thread count.
+ *
+ * Allocation: au() hands out its answer by reference (a memo entry, or
+ * result_ when the answer is not memoized), and the per-call buffers of
+ * au()/appendNodeAu() live in one DepthScratch per recursion depth --
+ * the recursion has at most one frame per depth -- so a shard allocates
+ * per memo entry and per kept pattern, not per candidate.
  */
 class AuShard {
  public:
     AuShard(const SweepContext& ctx, Budget* parent)
         : egraph_(ctx.egraph), options_(ctx.options), reprs_(ctx.reprs),
           budget_(sweepSpec(ctx.options), parent),
-          pairLimited_(ctx.options.maxSecondsPerPair != kUnlimitedSeconds)
+          pairLimited_(ctx.options.maxSecondsPerPair != kUnlimitedSeconds),
+          depthScratch_(
+              static_cast<size_t>(std::max(ctx.options.maxDepth, 0)) + 1)
     {
         sweepLimited_ = budget_.remainingSeconds() != kUnlimitedSeconds;
     }
@@ -276,9 +271,9 @@ class AuShard {
             }
             // Per-pair skip-and-record: a pair that overruns its budget
             // or faults is dropped whole and the sweep moves on.
-            std::vector<TermPtr> produced;
+            const std::vector<TermPtr>* produced = nullptr;
             try {
-                produced = au(a, b, options_.maxDepth);
+                produced = &au(a, b, options_.maxDepth);
             } catch (const InternalError&) {
                 inProgress_.clear();
                 rec.skipped = true;
@@ -298,17 +293,13 @@ class AuShard {
                 out.records.push_back(std::move(rec));
                 continue;
             }
-            for (const TermPtr& p : produced) {
+            for (const TermPtr& p : *produced) {
                 if (termOpCount(p) < options_.minOps ||
                     !p->hasHole || p->op == Op::List ||
                     !patternWellFormed(p)) {
                     continue;
                 }
-                // The uninterned renaming keeps the candidate's node
-                // topology, which the registry's scheduling view (and
-                // through it, pattern hardware costs) depends on; the
-                // registry interns the canonical identity itself.
-                rec.patterns.push_back(canonicalizeHolesUninterned(p));
+                rec.patterns.push_back(Produced{canonicalHoleHash(p), p});
             }
             out.records.push_back(std::move(rec));
         }
@@ -354,7 +345,12 @@ class AuShard {
         return spec;
     }
 
-    std::vector<TermPtr>
+    /**
+     * The AU set of the class pair (@p a, @p b).  The reference is to a
+     * memo entry or to result_, so it is valid until the next au() call;
+     * every caller consumes it before making one.
+     */
+    const std::vector<TermPtr>&
     au(EClassId a, EClassId b, int depth)
     {
         a = egraph_.find(a);
@@ -370,14 +366,17 @@ class AuShard {
             pairTripped_ = true;
         }
         if (depth <= 0 || aborted_ || pairTripped_) {
-            return {holeFor(a, b)};
+            return holeOnly(a, b);
         }
         if (a == b) {
             auto repr = reprs_.find(a);
-            if (repr != reprs_.end()) {
-                return {repr->second, holeFor(a, b)};
+            if (repr == reprs_.end()) {
+                return holeOnly(a, b);
             }
-            return {holeFor(a, b)};
+            result_.clear();
+            result_.push_back(repr->second);
+            result_.push_back(holeFor(a, b));
+            return result_;
         }
         PairKey key{a, b};
         auto memo = memo_.find(key);
@@ -387,15 +386,20 @@ class AuShard {
         }
         ++memoMisses_;
         // Break cycles through in-progress pairs with the pair hole.  The
-        // set stores the keys themselves: a hash collision here must not
-        // make an unrelated pair look in-progress and silently degrade it
-        // to a bare hole.
-        if (!inProgress_.insert(key).second) {
-            return {holeFor(a, b)};
+        // pairs in progress are the memo misses on the recursion path, at
+        // most one per depth, so they sit on a stack searched linearly.
+        // It compares the keys themselves: no unrelated pair may look
+        // in-progress and silently degrade to a bare hole.
+        if (std::find(inProgress_.begin(), inProgress_.end(), key) !=
+            inProgress_.end()) {
+            return holeOnly(a, b);
         }
+        inProgress_.push_back(key);
 
         TermPtr pairHole = holeFor(a, b);
-        Pending pending;
+        Pending& pending = depthScratch_[static_cast<size_t>(depth)].pending;
+        pending.candidates.clear();
+        pending.args.clear();
         for (const ENode& na : egraph_.cls(a).nodes) {
             if (aborted_) {
                 break;
@@ -412,15 +416,27 @@ class AuShard {
                 }
             }
         }
-        std::vector<TermPtr> out =
-            samplePatterns(std::move(pairHole), pending);
-        inProgress_.erase(key);
+        // Every child au() call has returned, so result_ is free.
+        samplePatterns(std::move(pairHole), pending, result_);
+        inProgress_.pop_back();
         // A tripped pair produced degenerate (hole-heavy) results; do not
         // memoize them, so later pairs recompute this subproblem cleanly.
-        if (!pairTripped_) {
-            memo_.emplace(key, out);
+        if (pairTripped_) {
+            return result_;
         }
-        return out;
+        return memo_
+            .emplace(key, std::vector<TermPtr>(result_.begin(),
+                                               result_.end()))
+            .first->second;
+    }
+
+    /** The answer {pair hole}, in result_. */
+    const std::vector<TermPtr>&
+    holeOnly(EClassId a, EClassId b)
+    {
+        result_.clear();
+        result_.push_back(holeFor(a, b));
+        return result_;
     }
 
     /** A memoized feature summary beside the term it describes. */
@@ -446,6 +462,17 @@ class AuShard {
         std::vector<const FeatureEntry*> args;
     };
 
+    /**
+     * The buffers of the au() frame and its appendNodeAu() calls at one
+     * depth.  Depth strictly decreases down the recursion, so a depth
+     * has at most one live frame and one slot each is enough.
+     */
+    struct DepthScratch {
+        Pending pending;  ///< au()'s product elements
+        std::vector<std::vector<const FeatureEntry*>> childSets;
+        std::vector<size_t> index;  ///< mixed-radix product counter
+    };
+
     /** AU over one matching e-node pair: the capped Cartesian product of
      *  the child AU sets, recorded in @p pending. */
     void
@@ -453,13 +480,14 @@ class AuShard {
                  Pending& pending)
     {
         const size_t arity = na.children.size();
-        std::vector<std::vector<const FeatureEntry*>> childSets(arity);
+        DepthScratch& scratch = depthScratch_[static_cast<size_t>(depth)];
+        auto& childSets = scratch.childSets;
+        if (childSets.size() < arity) {
+            childSets.resize(arity);
+        }
         for (size_t i = 0; i < arity; ++i) {
-            std::vector<TermPtr> set =
+            const std::vector<TermPtr>& set =
                 au(na.children[i], nb.children[i], depth - 1);
-            if (set.empty()) {
-                set.push_back(holeFor(na.children[i], nb.children[i]));
-            }
             // Cheapest (most general) child patterns first, so the capped
             // product enumeration visits concise generalizations before
             // the deep specialized ones.  Decorate-sort-undecorate with
@@ -471,11 +499,16 @@ class AuShard {
                 const FeatureEntry& entry = entryFor(term);
                 decorated_.emplace_back(entry.feature, &entry);
             }
+            if (set.empty()) {
+                const FeatureEntry& entry =
+                    entryFor(holeFor(na.children[i], nb.children[i]));
+                decorated_.emplace_back(entry.feature, &entry);
+            }
             std::sort(decorated_.begin(), decorated_.end(),
                       [](const auto& x, const auto& y) {
                           return x.first < y.first;
                       });
-            childSets[i].reserve(decorated_.size());
+            childSets[i].clear();
             for (const auto& [feature, entry] : decorated_) {
                 childSets[i].push_back(entry);
             }
@@ -496,13 +529,14 @@ class AuShard {
             } else if (arity >= 3) {
                 perChild = 4;
             }
-            for (auto& set : childSets) {
-                if (set.size() > perChild) {
-                    set.resize(perChild);
+            for (size_t i = 0; i < arity; ++i) {
+                if (childSets[i].size() > perChild) {
+                    childSets[i].resize(perChild);
                 }
             }
         }
-        std::vector<size_t> index(arity, 0);
+        std::vector<size_t>& index = scratch.index;
+        index.assign(arity, 0);
         size_t produced = 0;
         while (true) {
             pending.candidates.push_back(Candidate{&na, pending.args.size()});
@@ -555,28 +589,34 @@ class AuShard {
 
     /**
      * Apply the configured sampling strategy at the class-pair level to
-     * @p pairHole followed by the candidates in @p pending.  Only the
-     * patterns that come out are built.
+     * @p pairHole followed by the candidates in @p pending, writing the
+     * survivors to @p kept.  Only the patterns that come out are built.
      */
-    std::vector<TermPtr>
-    samplePatterns(TermPtr pairHole, const Pending& pending)
+    void
+    samplePatterns(TermPtr pairHole, const Pending& pending,
+                   std::vector<TermPtr>& kept)
     {
         const size_t count = 1 + pending.candidates.size();
-        std::vector<TermPtr> built(count);
-        built[0] = std::move(pairHole);
+        kept.clear();
         if (options_.sampling == Sampling::Exhaustive ||
             count <= options_.maxPatternsPerPair) {
+            kept.push_back(std::move(pairHole));
             for (size_t i = 1; i < count; ++i) {
-                built[i] = build(pending, i - 1);
+                kept.push_back(build(pending, i - 1));
             }
-            return built;
+            return;
         }
         // Score every candidate from its children's memoized summaries;
         // a candidate whose children may share a node is built and
         // walked instead.  Only the survivors enter the feature memo
         // (keep() below), since most candidates are discarded here.
-        std::vector<hls::FeatureSummary> summaries(count);
-        std::vector<double> features(count);
+        std::vector<TermPtr>& built = built_;
+        std::vector<hls::FeatureSummary>& summaries = summaries_;
+        std::vector<double>& features = scores_;
+        built.assign(count, nullptr);
+        built[0] = std::move(pairHole);
+        summaries.resize(count);
+        features.resize(count);
         const FeatureEntry& holeEntry = entryFor(built[0]);
         summaries[0] = holeEntry.summary;
         features[0] = holeEntry.feature;
@@ -601,7 +641,6 @@ class AuShard {
             features[i] = hls::featureOf(summaries[i]);
         }
 
-        std::vector<TermPtr> kept;
         auto keep = [&](size_t i) {
             if (built[i] == nullptr) {
                 built[i] = build(pending, i - 1);
@@ -615,7 +654,8 @@ class AuShard {
         if (options_.sampling == Sampling::Boundary) {
             // Keep extreme patterns by feature until the cap: repeatedly
             // take the current min and max.
-            std::vector<size_t> order(count);
+            std::vector<size_t>& order = order_;
+            order.resize(count);
             for (size_t i = 0; i < order.size(); ++i) {
                 order[i] = i;
             }
@@ -630,16 +670,18 @@ class AuShard {
                     keep(order[--hi]);
                 }
             }
-            return kept;
+            return;
         }
 
         // KdTree: recursively median-split on child features, then take
         // beta evenly spaced patterns per cell by the scalar feature.
         // Pattern i's coordinates are coords[i * dims, (i + 1) * dims):
         // its first children's features, zero-padded (the pair hole has
-        // no children).
+        // no children).  Each cell is a contiguous range of one index
+        // array; a split sorts its range and cuts it at the median.
         const size_t dims = static_cast<size_t>(options_.kdDims);
-        std::vector<double> coords(count * dims, 0.0);
+        std::vector<double>& coords = coords_;
+        coords.assign(count * dims, 0.0);
         for (size_t i = 1; i < count; ++i) {
             const Candidate& candidate = pending.candidates[i - 1];
             const size_t arity = candidate.node->children.size();
@@ -649,45 +691,47 @@ class AuShard {
             }
         }
 
-        std::vector<std::vector<size_t>> cells(1);
+        std::vector<size_t>& order = order_;
+        order.resize(count);
         for (size_t i = 0; i < count; ++i) {
-            cells[0].push_back(i);
+            order[i] = i;
         }
+        cells_.assign(1, Cell{0, count});
         for (size_t d = 0; d < dims; ++d) {
-            std::vector<std::vector<size_t>> next;
-            for (auto& cell : cells) {
-                if (cell.size() <= 1) {
-                    next.push_back(std::move(cell));
+            nextCells_.clear();
+            for (const auto& [first, last] : cells_) {
+                if (last - first <= 1) {
+                    nextCells_.push_back(Cell{first, last});
                     continue;
                 }
-                std::sort(cell.begin(), cell.end(),
+                std::sort(order.begin() + first, order.begin() + last,
                           [&](size_t x, size_t y) {
                               return coords[x * dims + d] <
                                      coords[y * dims + d];
                           });
-                size_t mid = cell.size() / 2;
-                next.emplace_back(cell.begin(), cell.begin() + mid);
-                next.emplace_back(cell.begin() + mid, cell.end());
+                const size_t mid = first + (last - first) / 2;
+                nextCells_.push_back(Cell{first, mid});
+                nextCells_.push_back(Cell{mid, last});
             }
-            cells = std::move(next);
+            cells_.swap(nextCells_);
         }
-        for (auto& cell : cells) {
-            if (cell.empty()) {
+        for (const auto& [first, last] : cells_) {
+            const size_t size = last - first;
+            if (size == 0) {
                 continue;
             }
-            std::sort(cell.begin(), cell.end(), [&](size_t x, size_t y) {
-                return features[x] < features[y];
-            });
+            std::sort(order.begin() + first, order.begin() + last,
+                      [&](size_t x, size_t y) {
+                          return features[x] < features[y];
+                      });
             const size_t beta = static_cast<size_t>(options_.kdBeta);
-            for (size_t k = 0; k < beta && k < cell.size(); ++k) {
-                size_t pick = cell.size() == 1
-                                  ? 0
-                                  : k * (cell.size() - 1) /
-                                        std::max<size_t>(1, beta - 1);
-                keep(cell[pick]);
+            for (size_t k = 0; k < beta && k < size; ++k) {
+                size_t pick = size == 1 ? 0
+                                        : k * (size - 1) /
+                                              std::max<size_t>(1, beta - 1);
+                keep(order[first + pick]);
             }
         }
-        return kept;
     }
 
     /**
@@ -721,7 +765,7 @@ class AuShard {
     Stopwatch pairWatch_;
     std::unordered_map<PairKey, std::vector<TermPtr>, PairKeyHash> memo_;
     std::unordered_map<PairKey, TermPtr, PairKeyHash> pairHole_;
-    std::unordered_set<PairKey, PairKeyHash> inProgress_;
+    std::vector<PairKey> inProgress_;  ///< stack, innermost last
     int64_t nextHole_ = 0;
     size_t rawCount_ = 0;
     size_t memoHits_ = 0;
@@ -734,8 +778,23 @@ class AuShard {
      * influence what it holds.
      */
     std::unordered_map<const Term*, FeatureEntry> features_;
+    /** Per-depth buffers of au() and appendNodeAu(), indexed by depth. */
+    std::vector<DepthScratch> depthScratch_;
+    /** The answer of an au() call that is not memoized. */
+    std::vector<TermPtr> result_;
     /** Sort scratch of appendNodeAu. */
     std::vector<std::pair<double, const FeatureEntry*>> decorated_;
+    /** Scoring scratch of samplePatterns: per candidate, the built term
+     *  (if any), summary and feature, the sort order, and KdTree's
+     *  coordinates and cells ([first, last) ranges of order_). */
+    using Cell = std::pair<size_t, size_t>;
+    std::vector<TermPtr> built_;
+    std::vector<hls::FeatureSummary> summaries_;
+    std::vector<double> scores_;
+    std::vector<size_t> order_;
+    std::vector<double> coords_;
+    std::vector<Cell> cells_;
+    std::vector<Cell> nextCells_;
     /** Compose scratch of samplePatterns. */
     std::vector<const hls::FeatureSummary*> childSummaries_;
     size_t featureEvals_ = 0;
@@ -840,13 +899,27 @@ identifyPatterns(const EGraph& egraph, const AuOptions& options,
     }
 
     // Merge in pair order, replaying the serial sweep's control flow:
-    // global structural dedup, the result-pattern cap (checked before
-    // each pair and again mid-pair), the candidate-budget abort at the
-    // cumulative count, and skip accounting for a sweep-level stop.
-    // Everything here depends only on the per-chunk records, which the
-    // fixed chunk partition makes thread-count invariant.
+    // global structural dedup of the hole-canonical forms, the result-
+    // pattern cap (checked before each pair and again mid-pair), the
+    // candidate-budget abort at the cumulative count, and skip
+    // accounting for a sweep-level stop.  Everything here depends only
+    // on the per-chunk records, which the fixed chunk partition makes
+    // thread-count invariant.  Only a first occurrence is canonicalized:
+    // the uninterned renaming keeps the candidate's node topology, which
+    // the registry's scheduling view (and through it, pattern hardware
+    // costs) depends on; the registry interns the canonical identity.
     AuStats& stats = result.stats;
-    std::unordered_set<TermPtr, TermPtrHash, TermPtrEq> seen;
+    // Canonical hash -> index into result.patterns.
+    std::unordered_multimap<uint64_t, size_t> seen;
+    auto firstOccurrence = [&](const Produced& p) {
+        const auto [first, last] = seen.equal_range(p.canonicalHash);
+        for (auto it = first; it != last; ++it) {
+            if (canonicalHolesEqual(result.patterns[it->second], p.term)) {
+                return false;
+            }
+        }
+        return true;
+    };
     size_t cumulativeRaw = 0;
     bool done = false;
     for (size_t c = 0; c < numChunks && !done; ++c) {
@@ -862,9 +935,11 @@ identifyPatterns(const EGraph& egraph, const AuOptions& options,
             if (rec.skipped) {
                 ++stats.skippedPairs;
             } else {
-                for (const TermPtr& p : rec.patterns) {
-                    if (seen.insert(p).second) {
-                        result.patterns.push_back(p);
+                for (const Produced& p : rec.patterns) {
+                    if (firstOccurrence(p)) {
+                        seen.emplace(p.canonicalHash, result.patterns.size());
+                        result.patterns.push_back(
+                            canonicalizeHolesUninterned(p.term));
                         if (result.patterns.size() >=
                             options.maxResultPatterns) {
                             break;

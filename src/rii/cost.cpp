@@ -1,8 +1,8 @@
 #include "rii/cost.hpp"
 
-#include <unordered_set>
+#include <algorithm>
 
-#include "egraph/ematch.hpp"
+#include "egraph/ematch_program.hpp"
 #include "profile/timing.hpp"
 #include "support/check.hpp"
 
@@ -75,19 +75,35 @@ CostModel::evaluate(int64_t id, const EGraph& egraph,
     const double operandNs =
         0.25 * static_cast<double>(termHoles(eval.body).size());
 
-    // Matched classes (deduplicated) in the working e-graph.
-    auto matches = ematchAll(egraph, eval.body, maxMatches);
-    std::unordered_set<EClassId> matched;
-    for (const EMatch& m : matches) {
-        matched.insert(egraph.find(m.root));
+    // Matched classes (deduplicated, ascending) in the working e-graph:
+    // the roots ematchAll(egraph, body, maxMatches) would report, counted
+    // without building substitutions.
+    const PatternProgram program = PatternProgram::compile(eval.body);
+    thread_local MatchScratch scratch;
+    thread_local std::vector<EClassId> matched;
+    matched.clear();
+    size_t found = 0;
+    for (EClassId id : program.candidateRoots(egraph)) {
+        if (found >= maxMatches) {
+            break;
+        }
+        const size_t n =
+            program.countAt(egraph, id, maxMatches - found, scratch);
+        if (n > 0) {
+            matched.push_back(egraph.find(id));
+            found += n;
+        }
     }
+    std::sort(matched.begin(), matched.end());
+    matched.erase(std::unique(matched.begin(), matched.end()),
+                  matched.end());
 
     // Every original-program site living in a matched class is a use.
     const double hwNs =
         eval.hw.latencyNs + invokeOverheadNs_ + operandNs;
     for (const frontend::Site& site : prog_->sites) {
         EClassId canon = egraph.find(site.klass);
-        if (matched.count(canon) == 0) {
+        if (!std::binary_search(matched.begin(), matched.end(), canon)) {
             continue;
         }
         UseSite use;

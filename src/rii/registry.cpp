@@ -9,20 +9,24 @@ namespace rii {
 int64_t
 PatternRegistry::add(const TermPtr& body)
 {
-    // The scheduling view renames holes like canonicalizeHoles but
-    // keeps the body's arrival topology, which the pointer-counting
-    // HLS estimator observes; interning it yields the canonical body,
-    // whose pointer is a complete structural key.
-    TermPtr costBody = canonicalizeHolesUninterned(body);
-    TermPtr canon = internTerm(costBody);
-    auto it = byKey_.find(canon.get());
-    if (it != byKey_.end()) {
-        return it->second;
+    // Probe with the canonical hash and equality first: a body seen
+    // before costs no copy.  A new one gets its scheduling view, which
+    // renames holes like canonicalizeHoles but keeps the body's arrival
+    // topology (the pointer-counting HLS estimator observes it), and
+    // the interned canonical body.
+    const uint64_t hash = canonicalHoleHash(body);
+    const auto [first, last] = byHash_.equal_range(hash);
+    for (auto it = first; it != last; ++it) {
+        if (canonicalHolesEqual(bodies_[static_cast<size_t>(it->second)],
+                                body)) {
+            return it->second;
+        }
     }
-    bodies_.push_back(canon);
+    TermPtr costBody = canonicalizeHolesUninterned(body);
+    bodies_.push_back(internTerm(costBody));
     costBodies_.push_back(std::move(costBody));
-    int64_t id = static_cast<int64_t>(bodies_.size() - 1);
-    byKey_.emplace(canon.get(), id);
+    const int64_t id = static_cast<int64_t>(bodies_.size() - 1);
+    byHash_.emplace(hash, id);
     return id;
 }
 

@@ -57,12 +57,8 @@ class PatternRegistry {
     std::vector<TermPtr> bodies_;
     /** Per-id scheduling views, index-aligned with bodies_. */
     std::vector<TermPtr> costBodies_;
-    /**
-     * Interned canonical body -> id.  Hash-consing makes the canonical
-     * body pointer a complete structural key, replacing the
-     * termToString() serialization this map used before the interner.
-     */
-    std::unordered_map<const Term*, int64_t> byKey_;
+    /** Canonical body hash -> id, probed with canonicalHolesEqual. */
+    std::unordered_multimap<uint64_t, int64_t> byHash_;
 };
 
 }  // namespace rii

@@ -308,7 +308,9 @@ runRii(const frontend::EncodedProgram& program,
             }
 
             // Cost the candidates and keep the best few.  A candidate
-            // whose evaluation fails is dropped, not fatal.
+            // whose evaluation fails is dropped, not fatal.  Previously
+            // selected patterns stay selectable in this phase; they are
+            // costed inside the same span.
             std::vector<PatternEval> costed;
             {
                 TELEM_SPAN("rii.cost", "rii");
@@ -322,20 +324,17 @@ runRii(const frontend::EncodedProgram& program,
                         ++diag.skippedPatterns;
                     }
                 }
-            }
-            std::sort(costed.begin(), costed.end(),
-                      [](const PatternEval& a, const PatternEval& b) {
-                          return a.deltaNs > b.deltaNs;
-                      });
-            while (costed.size() > config.maxCostedCandidates) {
-                costed.pop_back();
-            }
-            while (!costed.empty() && costed.back().deltaNs <= 0 &&
-                   costed.size() > 1) {
-                costed.pop_back();
-            }
-            // Previously selected patterns stay selectable in this phase.
-            {
+                std::sort(costed.begin(), costed.end(),
+                          [](const PatternEval& a, const PatternEval& b) {
+                              return a.deltaNs > b.deltaNs;
+                          });
+                while (costed.size() > config.maxCostedCandidates) {
+                    costed.pop_back();
+                }
+                while (!costed.empty() && costed.back().deltaNs <= 0 &&
+                       costed.size() > 1) {
+                    costed.pop_back();
+                }
                 std::unordered_set<int64_t> have;
                 for (const PatternEval& pe : costed) {
                     have.insert(pe.id);

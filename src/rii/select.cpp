@@ -5,7 +5,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "egraph/analysis.hpp"
 #include "egraph/extract.hpp"
 #include "profile/timing.hpp"
 #include "support/check.hpp"
@@ -33,7 +32,11 @@ appPatternId(const EGraph& egraph, const ENode& node)
     return -1;
 }
 
-/** Front pruner: dedupe, drop dominated, keep the top K by saving. */
+/**
+ * Front pruner: dedupe, drop dominated, keep the top K by saving.  Its
+ * operations write into caller-owned vectors and work in member scratch,
+ * so a fixpoint round allocates only where a class's front grows.
+ */
 class FrontOps {
  public:
     FrontOps(const std::vector<double>& delta,
@@ -41,79 +44,79 @@ class FrontOps {
         : delta_(delta), area_(area), beamK_(beamK)
     {}
 
-    double
-    deltaOf(Mask m) const
-    {
-        double total = 0;
-        while (m != 0) {
-            int bit = __builtin_ctzll(m);
-            total += delta_[bit];
-            m &= m - 1;
-        }
-        return total;
-    }
-
-    double
-    areaOf(Mask m) const
-    {
-        double total = 0;
-        while (m != 0) {
-            int bit = __builtin_ctzll(m);
-            total += area_[bit];
-            m &= m - 1;
-        }
-        return total;
-    }
-
-    std::vector<Mask>
-    prune(std::vector<Mask> masks) const
+    /** Prune @p masks (reordered in place) into @p out. */
+    void
+    prune(std::vector<Mask>& masks, std::vector<Mask>& out)
     {
         std::sort(masks.begin(), masks.end());
         masks.erase(std::unique(masks.begin(), masks.end()), masks.end());
-        // Sort by saving (descending), then area (ascending).
-        std::sort(masks.begin(), masks.end(), [&](Mask x, Mask y) {
-            double dx = deltaOf(x);
-            double dy = deltaOf(y);
-            if (dx != dy) {
-                return dx > dy;
-            }
-            return areaOf(x) < areaOf(y);
-        });
+        // Sort by saving (descending), then area (ascending), each summed
+        // once per mask.
+        keyed_.clear();
+        for (Mask m : masks) {
+            keyed_.push_back(Keyed{sumOf(delta_, m), sumOf(area_, m), m});
+        }
+        std::sort(keyed_.begin(), keyed_.end(),
+                  [](const Keyed& x, const Keyed& y) {
+                      if (x.delta != y.delta) {
+                          return x.delta > y.delta;
+                      }
+                      return x.area < y.area;
+                  });
         // Non-dominated prefix scan: keep masks whose area is below every
         // better-saving mask's area.
-        std::vector<Mask> kept;
+        out.clear();
         double best_area = std::numeric_limits<double>::infinity();
-        for (Mask m : masks) {
-            double a = areaOf(m);
-            if (a < best_area || kept.empty()) {
-                kept.push_back(m);
-                best_area = std::min(best_area, a);
+        for (const Keyed& k : keyed_) {
+            if (k.area < best_area || out.empty()) {
+                out.push_back(k.mask);
+                best_area = std::min(best_area, k.area);
             }
-            if (kept.size() >= beamK_) {
+            if (out.size() >= beamK_) {
                 break;
             }
         }
-        return kept;
     }
 
-    /** Cartesian combine of two fronts with pruning. */
-    std::vector<Mask>
-    combine(const std::vector<Mask>& a, const std::vector<Mask>& b) const
+    /** Cartesian combine of fronts @p a and @p b, pruned into @p out
+     *  (which may be @p a). */
+    void
+    combine(const std::vector<Mask>& a, const std::vector<Mask>& b,
+            std::vector<Mask>& out)
     {
-        std::vector<Mask> out;
-        out.reserve(a.size() * b.size());
+        product_.clear();
         for (Mask x : a) {
             for (Mask y : b) {
-                out.push_back(x | y);
+                product_.push_back(x | y);
             }
         }
-        return prune(std::move(out));
+        prune(product_, out);
     }
 
  private:
+    struct Keyed {
+        double delta;
+        double area;
+        Mask mask;
+    };
+
+    static double
+    sumOf(const std::vector<double>& values, Mask m)
+    {
+        double total = 0;
+        while (m != 0) {
+            int bit = __builtin_ctzll(m);
+            total += values[bit];
+            m &= m - 1;
+        }
+        return total;
+    }
+
     const std::vector<double>& delta_;
     const std::vector<double>& area_;
     size_t beamK_;
+    std::vector<Keyed> keyed_;
+    std::vector<Mask> product_;
 };
 
 }  // namespace
@@ -175,9 +178,14 @@ selectAndRefine(const EGraph& egraph, EClassId root,
     }
     FrontOps ops(delta, area, options.beamK);
 
-    // Fixpoint propagation of per-class fronts.
-    const auto ids = egraph.classIds();
-    ClassMap<std::vector<Mask>> fronts;
+    // Fixpoint propagation of per-class fronts, indexed by class id.  A
+    // computed front is never empty (pruning keeps its best mask), so an
+    // empty slot means "not reached yet".
+    const auto& ids = egraph.classIds();
+    std::vector<std::vector<Mask>> fronts(egraph.numIds());
+    std::vector<Mask> nodeFront;
+    std::vector<Mask> merged;
+    std::vector<Mask> pruned;
     for (int round = 0; round < options.maxRounds; ++round) {
         // The fronts computed so far stay internally consistent when the
         // fixpoint is cut short; stopping here only loses solutions.
@@ -188,17 +196,18 @@ selectAndRefine(const EGraph& egraph, EClassId root,
         out.roundsRun = static_cast<size_t>(round) + 1;
         bool changed = false;
         for (EClassId id : ids) {
-            std::vector<Mask> merged;
+            merged.clear();
             for (const ENode& node : egraph.cls(id).nodes) {
-                std::vector<Mask> nodeFront{0};
+                nodeFront.assign(1, 0);
                 bool ready = true;
                 for (EClassId child : node.children) {
-                    auto it = fronts.find(egraph.find(child));
-                    if (it == fronts.end()) {
+                    const std::vector<Mask>& childFront =
+                        fronts[egraph.find(child)];
+                    if (childFront.empty()) {
                         ready = false;
                         break;
                     }
-                    nodeFront = ops.combine(nodeFront, it->second);
+                    ops.combine(nodeFront, childFront, nodeFront);
                 }
                 if (!ready) {
                     continue;
@@ -219,10 +228,10 @@ selectAndRefine(const EGraph& egraph, EClassId root,
             if (merged.empty()) {
                 continue;
             }
-            auto pruned = ops.prune(std::move(merged));
-            auto& slot = fronts[id];
+            ops.prune(merged, pruned);
+            std::vector<Mask>& slot = fronts[id];
             if (slot != pruned) {
-                slot = std::move(pruned);
+                slot = pruned;
                 changed = true;
             }
         }
@@ -231,14 +240,13 @@ selectAndRefine(const EGraph& egraph, EClassId root,
         }
     }
 
-    auto rootFront = fronts.find(root);
-    if (rootFront == fronts.end()) {
+    if (fronts[root].empty()) {
         return {};
     }
 
     // Refinement per front element.
     std::vector<Solution> solutions;
-    for (Mask mask : rootFront->second) {
+    for (Mask mask : fronts[root]) {
         if (fault::tripped("select.refine") || !budget.ok()) {
             out.truncated = true;
             break;

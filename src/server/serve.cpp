@@ -350,12 +350,14 @@ laneMain(ServeContext& ctx, size_t lane)
 
         if (ctx.observe != nullptr) {
             // Only an analysis that ran (or was cached) proves its
-            // workload known; every other answer goes under "-".
+            // workload known; every other answer goes under "-".  The
+            // key is the registry name, so every spelling of a workload
+            // ("PCL/sac", "sac") feeds one digest.
             const bool resolved = request.op == RequestOp::Analyze &&
                                   (response.status == Status::Ok ||
                                    response.status == Status::Degraded);
             const std::string digestWorkload =
-                resolved ? request.workload : std::string();
+                resolved ? response.resolvedWorkload : std::string();
             const uint64_t serializeUs = (endNs - serializeStartNs) / 1000;
             observeStage(ctx, lane, kStageQueueWait, op, digestWorkload,
                          queueWaitUs);

@@ -664,6 +664,7 @@ SharedState::runAnalysis(const Request& request, Budget& rootBudget)
                          "list)";
         return response;
     }
+    response.resolvedWorkload = analyzed->workload.name;
 
     // Only unconstrained, fault-free requests may use the response
     // cache: anything with a budget, an injection, or a pinned thread

@@ -160,6 +160,9 @@ struct Response {
     std::string requestId;    ///< echoed "req" field (empty = omitted)
     Status status = Status::Internal;
     std::string workload;     ///< echoed for analyze responses
+    /** Registry name the analyze request resolved to ("PCL/sac" for
+     *  "sac"); empty when it resolved none.  Not serialized. */
+    std::string resolvedWorkload;
     std::string result;       ///< raw resultToJson() bytes (may be empty)
     std::string diagnostics;  ///< RunDiagnostics::summary() when degraded
     std::string error;        ///< human-readable failure reason

@@ -2,13 +2,15 @@
  * @file
  * Tests for the hash-consing term interner (dsl/intern.hpp): pointer
  * identity of structural duplicates, differential equivalence against
- * the recursive oracles, the uninterned cost-view constructors, table
- * purging, and a concurrency hammer meant to run under TSan.
+ * the recursive oracles, the uninterned cost-view constructors and the
+ * build-free canonical hash and equality beside them, table purging,
+ * and a concurrency hammer meant to run under TSan.
  */
 #include "dsl/intern.hpp"
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <random>
 #include <string>
 #include <vector>
@@ -204,6 +206,108 @@ TEST(InternTest, CanonicalizeHolesUninternedPreservesSharing)
     EXPECT_NE(expanded->children[0].get(), expanded->children[1].get());
     EXPECT_TRUE(termEquals(expanded->children[0],
                            expanded->children[1]));
+}
+
+/**
+ * A random term DAG: each node takes its children from the nodes built
+ * so far, so hole-carrying and hole-free subterms are both shared.
+ * Hole ids are drawn sparse, so canonical numbering always renames.
+ */
+template <typename Builder>
+TermPtr
+randomDag(std::mt19937& rng, const Builder& build)
+{
+    std::uniform_int_distribution<int> pick(0, 99);
+    std::vector<TermPtr> nodes;
+    const int leaves = 2 + pick(rng) % 4;
+    for (int i = 0; i < leaves; ++i) {
+        switch (pick(rng) % 3) {
+          case 0:
+            nodes.push_back(build(Op::Lit, Payload::ofInt(pick(rng) % 3), {}));
+            break;
+          case 1:
+            nodes.push_back(
+                build(Op::Arg, Payload::ofPair(0, pick(rng) % 2), {}));
+            break;
+          default:
+            nodes.push_back(
+                build(Op::Hole, Payload::ofInt(7 * (pick(rng) % 4) + 3), {}));
+            break;
+        }
+    }
+    const Op ops[] = {Op::Add, Op::Mul, Op::Sub, Op::Min};
+    const int interior = 1 + pick(rng) % 6;
+    for (int i = 0; i < interior; ++i) {
+        const TermPtr lhs = nodes[static_cast<size_t>(pick(rng)) % nodes.size()];
+        const TermPtr rhs = nodes[static_cast<size_t>(pick(rng)) % nodes.size()];
+        nodes.push_back(build(ops[pick(rng) % 4], Payload::none(), {lhs, rhs}));
+    }
+    return nodes.back();
+}
+
+/** @p term with every hole id mapped through @p rename, uninterned. */
+TermPtr
+renameRaw(const TermPtr& term, const std::function<int64_t(int64_t)>& rename)
+{
+    if (term->op == Op::Hole) {
+        return makeTermUninterned(
+            Op::Hole, Payload::ofInt(rename(term->payload.a)), {});
+    }
+    if (!term->hasHole) {
+        return term;
+    }
+    std::vector<TermPtr> children;
+    for (const TermPtr& child : term->children) {
+        children.push_back(renameRaw(child, rename));
+    }
+    return makeTermUninterned(term->op, term->payload, std::move(children));
+}
+
+TEST(InternTest, CanonicalHashAndEqualityAgreeWithMaterializedView)
+{
+    // canonicalHoleHash / canonicalHolesEqual decide, without building,
+    // what canonicalizeHolesUninterned's view would answer.
+    std::mt19937 rng(2024);
+    std::vector<TermPtr> terms;
+    for (int i = 0; i < 300; ++i) {
+        terms.push_back(i % 2 == 0 ? randomDag(rng, buildUninterned)
+                                   : randomDag(rng, buildInterned));
+    }
+    std::vector<TermPtr> views;
+    for (const TermPtr& t : terms) {
+        const TermPtr view = canonicalizeHolesUninterned(t);
+        views.push_back(view);
+        EXPECT_EQ(canonicalHoleHash(t), view->hash) << termToString(t);
+        EXPECT_TRUE(canonicalHolesEqual(view, t)) << termToString(t);
+        EXPECT_TRUE(canonicalHolesEqual(internTerm(view), t));
+        EXPECT_TRUE(termEquals(view, canonicalizeHoles(t)));
+
+        // An injective renaming has the same canonical form.
+        const TermPtr renamed =
+            renameRaw(t, [](int64_t id) { return 1000 - 2 * id; });
+        EXPECT_EQ(canonicalHoleHash(renamed), view->hash);
+        EXPECT_TRUE(canonicalHolesEqual(view, renamed));
+    }
+    // Pairwise over a sample: the same verdict as comparing views, and
+    // equal canonical forms hash equal.
+    for (size_t i = 0; i < 120; ++i) {
+        for (size_t j = 0; j < 120; ++j) {
+            const bool want = termEquals(views[i], views[j]);
+            EXPECT_EQ(canonicalHolesEqual(views[i], terms[j]), want)
+                << termToString(terms[i]) << " vs "
+                << termToString(terms[j]);
+            if (want) {
+                EXPECT_EQ(canonicalHoleHash(terms[j]), views[i]->hash);
+            }
+        }
+    }
+    // A renaming that merges two holes changes the canonical form.
+    const TermPtr twoHoles = makeTerm(Op::Add, {hole(5), hole(9)});
+    const TermPtr merged =
+        renameRaw(twoHoles, [](int64_t) { return int64_t{4}; });
+    EXPECT_FALSE(canonicalHolesEqual(canonicalizeHolesUninterned(twoHoles),
+                                     merged));
+    EXPECT_NE(canonicalHoleHash(merged), canonicalHoleHash(twoHoles));
 }
 
 TEST(InternTest, CopyTopologyPreservesInternalSharing)

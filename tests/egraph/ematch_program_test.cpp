@@ -3,7 +3,8 @@
  * Tests for the compiled matching engine (ematch_program.hpp) and its
  * e-graph support structures: a randomized differential suite pinning
  * the VM to the legacy backtracking matcher (1000 graph/pattern cases),
- * the worklist extractor against a naive full-sweep oracle, and units
+ * the substitution-free match count against the VM's matches, the
+ * worklist extractor against a naive full-sweep oracle, and units
  * for the op index, O(1) node count, and the class-id snapshot.
  */
 #include "egraph/ematch_program.hpp"
@@ -119,13 +120,66 @@ TEST_P(VmDifferential, MatchesLegacyMatcherExactly)
 INSTANTIATE_TEST_SUITE_P(RandomGraphs, VmDifferential,
                          ::testing::Range(0, 25));
 
+// countAt() is matchAt() without the substitutions: at every class, the
+// same number under the same cap, small caps (which truncate) included.
+// Summed over candidateRoots() under a total cap, it names the roots
+// ematchAll() reports.
+TEST_P(VmDifferential, CountAtMatchesMatchAtSizes)
+{
+    Rng rng(9100 + static_cast<uint64_t>(GetParam()));
+    EGraph g = randomGraph(rng);
+    MatchScratch scratch;
+    for (int c = 0; c < 40; ++c) {
+        TermPtr pat = randomPattern(rng, 3);
+        const PatternProgram program = PatternProgram::compile(pat);
+        for (EClassId id : g.classIds()) {
+            for (size_t cap : {size_t{0}, size_t{1}, size_t{2},
+                               size_t{1 + rng.below(64)}}) {
+                std::vector<Subst> out;
+                const size_t matched =
+                    program.matchAt(g, id, cap, out, scratch);
+                EXPECT_EQ(program.countAt(g, id, cap, scratch), matched)
+                    << "pattern " << termToString(pat) << " at class "
+                    << id << " cap " << cap;
+                EXPECT_EQ(out.size(), matched);
+            }
+        }
+
+        const size_t total = 1 + rng.below(16);
+        std::vector<EClassId> want;
+        for (const EMatch& m : ematchAll(g, pat, total)) {
+            if (want.empty() || want.back() != m.root) {
+                want.push_back(m.root);
+            }
+        }
+        std::vector<EClassId> got;
+        size_t found = 0;
+        for (EClassId id : program.candidateRoots(g)) {
+            if (found >= total) {
+                break;
+            }
+            const size_t n = program.countAt(g, id, total - found, scratch);
+            if (n > 0) {
+                got.push_back(id);
+                found += n;
+            }
+        }
+        EXPECT_EQ(got, want)
+            << "pattern " << termToString(pat) << " total cap " << total;
+    }
+}
+
 // --- worklist extractor vs full-sweep oracle -------------------------
 
-/** The pre-worklist extractor: ascending sweeps until no change. */
+/**
+ * The pre-worklist extractor: ascending sweeps until no change.  Its
+ * chosen node is the graph's own node, so a chosen-node check compares
+ * identities.
+ */
 void
 naiveRelax(const EGraph& g, const CostFn& costFn,
            std::unordered_map<EClassId, double>& bestCost,
-           std::unordered_map<EClassId, ENode>& bestNode)
+           std::unordered_map<EClassId, const ENode*>& bestNode)
 {
     bool changed = true;
     while (changed) {
@@ -150,7 +204,7 @@ naiveRelax(const EGraph& g, const CostFn& costFn,
                 auto it = bestCost.find(id);
                 if (it == bestCost.end() || cost < it->second - 1e-12) {
                     bestCost[id] = cost;
-                    bestNode[id] = node;
+                    bestNode[id] = &node;
                     changed = true;
                 }
             }
@@ -163,11 +217,23 @@ class ExtractorWorklist : public ::testing::TestWithParam<int> {};
 // The worklist relaxation must produce bit-identical costs AND the same
 // chosen node per class (epsilon-ties resolve the same way) as the
 // full-sweep loop it replaced.  The max-based cost creates many exact
-// ties, stressing the tie-break order.
+// ties, and the op-skewed one differences below the 1e-12 improvement
+// threshold, stressing the tie-break order.  Larger graphs span several
+// 64-class words of the worklist bitmaps.
 TEST_P(ExtractorWorklist, MatchesFullSweepOracle)
 {
     Rng rng(5500 + static_cast<uint64_t>(GetParam()));
     EGraph g = randomGraph(rng);
+    if (GetParam() % 2 == 1) {
+        for (int i = 0; i < 40; ++i) {
+            g.addTerm(randomIntTerm(rng, 5));
+        }
+        for (int i = 0; i < 30; ++i) {
+            const auto ids = g.classIds();
+            g.merge(ids[rng.below(ids.size())], ids[rng.below(ids.size())]);
+        }
+        g.rebuild();
+    }
 
     const CostFn costs[] = {
         astSizeCost,
@@ -177,10 +243,17 @@ TEST_P(ExtractorWorklist, MatchesFullSweepOracle)
                 m = std::max(m, c);
             }
             return 1.0 + m;
+        },
+        [](const ENode& node, const std::vector<double>& childCosts) {
+            double total = 1.0 + 4e-13 * static_cast<int>(node.op);
+            for (double c : childCosts) {
+                total += c;
+            }
+            return total;
         }};
     for (const CostFn& fn : costs) {
         std::unordered_map<EClassId, double> wantCost;
-        std::unordered_map<EClassId, ENode> wantNode;
+        std::unordered_map<EClassId, const ENode*> wantNode;
         naiveRelax(g, fn, wantCost, wantNode);
 
         Extractor extractor(g, fn);
@@ -191,16 +264,19 @@ TEST_P(ExtractorWorklist, MatchesFullSweepOracle)
                 << "class " << id;
             if (got.has_value()) {
                 EXPECT_EQ(want->second, *got) << "class " << id;
-                EXPECT_EQ(wantNode.at(id).str(),
-                          extractor.chosenNode(id)->str())
-                    << "class " << id;
+                EXPECT_EQ(wantNode.at(id), extractor.chosenNode(id))
+                    << "class " << id << ": want "
+                    << wantNode.at(id)->str() << ", got "
+                    << extractor.chosenNode(id)->str();
+            } else {
+                EXPECT_EQ(extractor.chosenNode(id), nullptr);
             }
         }
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomGraphs, ExtractorWorklist,
-                         ::testing::Range(0, 12));
+                         ::testing::Range(0, 24));
 
 // --- op index --------------------------------------------------------
 

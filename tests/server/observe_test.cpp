@@ -470,6 +470,46 @@ TEST(ObservedServeTest, UnknownWorkloadNamesAddNoLatencyDigests)
     EXPECT_EQ(expositionLineCount(after), expositionLineCount(before));
 }
 
+TEST(ObservedServeTest, AliasesOfOneWorkloadShareLatencyDigests)
+{
+    // "PCL/sac", "pcl/sac" and "sac" resolve to one registry workload,
+    // so their analyses feed the digests keyed by its name, not three
+    // per-spelling ones.  One lane answers in order.
+    ServeOptions options;
+    options.lanes = 1;
+    options.purgeEvery = 0;
+    std::vector<std::string> requests;
+    for (const char* name : {"sac", "PCL/sac", "pcl/sac"}) {
+        requests.push_back(std::string("{\"workload\": \"") + name +
+                           "\"}");
+    }
+    requests.push_back(metricsRequest("m"));
+    std::vector<std::string> raw;
+    const std::vector<JsonValue> responses =
+        runObservedSession(requests, options, nullptr, &raw);
+    ASSERT_EQ(responses.size(), requests.size());
+    for (size_t i = 0; i + 1 < responses.size(); ++i) {
+        EXPECT_EQ(responses[i].find("status")->text, "ok");
+    }
+
+    const JsonValue answer = metricsAnswer(responses, raw, "m").second;
+    const JsonValue* metrics = answer.find("metrics");
+    ASSERT_NE(metrics, nullptr);
+    const JsonValue* latency = metrics->find("latency");
+    ASSERT_NE(latency, nullptr);
+    const JsonValue* analyze = latency->find(kStageAnalyze);
+    ASSERT_NE(analyze, nullptr);
+    std::set<std::string> workloads;
+    for (const auto& [op, byWorkload] : analyze->members) {
+        for (const auto& [workload, digest] : byWorkload.members) {
+            workloads.insert(workload);
+        }
+    }
+    EXPECT_EQ(workloads.count("PCL/sac"), 1u);
+    EXPECT_EQ(workloads.count("sac"), 0u);
+    EXPECT_EQ(workloads.count("pcl/sac"), 0u);
+}
+
 TEST(ObservedServeTest, MetricsOpReturnsJsonAndPrometheusMidSession)
 {
     // One lane serializes the session, so the analyze request's digests
