@@ -461,8 +461,6 @@ hashAuOptions(const rii::AuOptions& au)
     h = hashCombine(h, static_cast<uint64_t>(au.kdDims));
     h = hashCombine(h, static_cast<uint64_t>(au.kdBeta));
     h = hashCombine(h, au.minOps);
-    h = hashCombine(h, doubleBits(au.maxSeconds));
-    h = hashCombine(h, doubleBits(au.maxSecondsPerPair));
     return h;
 }
 
@@ -536,15 +534,11 @@ configFingerprint(const rii::RiiConfig& config)
     h = hashCombine(h, config.select.beamK);
     h = hashCombine(h, config.select.maxRounds);
     h = hashCombine(h, config.select.astSizeObjective ? 1 : 0);
-    h = hashCombine(h, doubleBits(config.select.maxSeconds));
     h = hashCombine(h, static_cast<uint64_t>(
                            static_cast<int64_t>(config.vectorize.lanes)));
     h = hashCombine(h, config.vectorize.maxPacks);
     h = hashCombine(h, hashAuOptions(config.vectorize.seedAu));
     h = hashCombine(h, hashEqSatLimits(config.vectorize.liftLimits));
-    h = hashCombine(h, doubleBits(config.budget.maxSeconds));
-    h = hashCombine(h, config.budget.maxUnits);
-    h = hashCombine(h, config.budget.maxRssBytes);
     h = hashCombine(h, doubleBits(config.invokeOverheadNs));
     h = hashCombine(h, config.maxCostedCandidates);
     return h;

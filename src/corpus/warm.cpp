@@ -10,7 +10,7 @@ namespace corpus {
 bool
 warmEligible(const rii::RiiConfig& config)
 {
-    return config.mode != rii::Mode::Vector && config.budget.unlimited() &&
+    return config.mode != rii::Mode::Vector &&
            (config.parentBudget == nullptr ||
             config.parentBudget->unconstrained()) &&
            !fault::Registry::instance().enabled();

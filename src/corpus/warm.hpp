@@ -23,10 +23,9 @@ namespace corpus {
 /**
  * Whether a run with @p config may consult and populate the corpus's
  * result cache.  Requires: a mode whose base program is the input
- * program (everything but Vector), an unlimited run budget, no
- * constrained parent budget, and no armed fault injection -- the
- * conditions under which a stored result is guaranteed to reproduce the
- * recorded run.  Ineligible runs still execute normally and leave the
+ * program (everything but Vector), no constrained run budget, and no
+ * armed fault injection -- the conditions under which a stored result
+ * is guaranteed to reproduce the recorded run.  Ineligible runs still execute normally and leave the
  * corpus untouched.
  */
 bool warmEligible(const rii::RiiConfig& config);

@@ -87,10 +87,7 @@ runEqSat(EGraph& egraph, const std::vector<RewriteRule>& rules,
         if (budget.ok()) {
             return false;
         }
-        // Cancellation (a watchdog expiring the enclosing budget) is a
-        // deadline-class stop: the run was out of time, not out of work.
-        if (budget.effectiveStop() == BudgetStop::Deadline ||
-            budget.effectiveStop() == BudgetStop::Cancelled) {
+        if (budget.effectiveStop() == BudgetStop::Deadline) {
             out_of_time = true;
         } else {
             out_of_units = true;

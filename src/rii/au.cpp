@@ -12,7 +12,6 @@
 #include "support/fault.hpp"
 #include "support/hashing.hpp"
 #include "support/pool.hpp"
-#include "support/stopwatch.hpp"
 #include "support/telemetry.hpp"
 
 namespace isamore {
@@ -182,7 +181,7 @@ struct Produced {
 
 /** What one explored pair contributed, recorded in sweep order. */
 struct PairRecord {
-    bool skipped = false;       ///< fault / per-pair deadline / exception
+    bool skipped = false;       ///< fault / sweep deadline / exception
     size_t rawCandidates = 0;   ///< candidates enumerated for this pair
     std::vector<Produced> patterns;  ///< filtered, un-deduped
 };
@@ -227,7 +226,6 @@ class AuShard {
     AuShard(const SweepContext& ctx, Budget* parent)
         : egraph_(ctx.egraph), options_(ctx.options), reprs_(ctx.reprs),
           budget_(sweepSpec(ctx.options), parent),
-          pairLimited_(ctx.options.maxSecondsPerPair != kUnlimitedSeconds),
           depthScratch_(
               static_cast<size_t>(std::max(ctx.options.maxDepth, 0)) + 1)
     {
@@ -260,17 +258,14 @@ class AuShard {
             const auto& [a, b] = pairs[i];
             PairRecord rec;
             pairTripped_ = false;
-            if (pairLimited_) {
-                pairWatch_.reset();
-            }
             const size_t rawBefore = rawCount_;
             if (fault::tripped("au.pair")) {
                 rec.skipped = true;
                 out.records.push_back(std::move(rec));
                 continue;
             }
-            // Per-pair skip-and-record: a pair that overruns its budget
-            // or faults is dropped whole and the sweep moves on.
+            // Per-pair skip-and-record: a pair that runs into the sweep
+            // deadline or faults is dropped whole and the sweep moves on.
             const std::vector<TermPtr>* produced = nullptr;
             try {
                 produced = &au(a, b, options_.maxDepth);
@@ -334,13 +329,12 @@ class AuShard {
         return it->second;
     }
 
-    /** sweep budget: deadline from options.maxSeconds (clamped to the
-     *  parent's) + one consumable unit per raw candidate. */
+    /** sweep budget: the parent's deadline + one consumable unit per
+     *  raw candidate. */
     static BudgetSpec
     sweepSpec(const AuOptions& options)
     {
         BudgetSpec spec;
-        spec.maxSeconds = options.maxSeconds;
         spec.maxUnits = options.maxCandidates;
         return spec;
     }
@@ -355,13 +349,9 @@ class AuShard {
     {
         a = egraph_.find(a);
         b = egraph_.find(b);
-        // Per-pair and sweep deadlines are polled on every recursion
-        // step, but only when one is actually set (both reads are free
-        // in the default unlimited configuration).
-        if (pairLimited_ && !pairTripped_ &&
-            pairWatch_.seconds() > options_.maxSecondsPerPair) {
-            pairTripped_ = true;
-        }
+        // The sweep deadline is polled on every recursion step, but only
+        // when one is actually set (free in the default unlimited
+        // configuration).
         if (sweepLimited_ && !pairTripped_ && !budget_.ok()) {
             pairTripped_ = true;
         }
@@ -759,10 +749,8 @@ class AuShard {
     const AuOptions& options_;
     const ClassMap<TermPtr>& reprs_;
     Budget budget_;
-    bool pairLimited_ = false;
     bool sweepLimited_ = false;
     bool pairTripped_ = false;
-    Stopwatch pairWatch_;
     std::unordered_map<PairKey, std::vector<TermPtr>, PairKeyHash> memo_;
     std::unordered_map<PairKey, TermPtr, PairKeyHash> pairHole_;
     std::vector<PairKey> inProgress_;  ///< stack, innermost last

@@ -81,18 +81,6 @@ struct AuOptions {
 
     /** Candidate filter: minimum operation count of a useful pattern. */
     size_t minOps = 2;
-
-    /** Wall-clock allowance for the whole sweep (unlimited by default);
-     *  tripping it stops enumeration and records the rest as skipped. */
-    double maxSeconds = kUnlimitedSeconds;
-
-    /**
-     * Wall-clock allowance per explored e-class pair (unlimited by
-     * default).  A pair that overruns is dropped -- its patterns are
-     * discarded and skippedPairs is incremented -- and the sweep
-     * continues with the next pair, the per-unit degradation contract.
-     */
-    double maxSecondsPerPair = kUnlimitedSeconds;
 };
 
 /** Statistics from one AU sweep (feeds Table 2). */
@@ -100,7 +88,7 @@ struct AuStats {
     size_t pairsConsidered = 0;  ///< pairs examined by the filters
     size_t pairsExplored = 0;    ///< pairs recursed into
     size_t rawCandidates = 0;    ///< |P_cand| before dedup (paper metric)
-    /** Pairs dropped by a per-pair deadline, an injected fault, or an
+    /** Pairs dropped by the sweep deadline, an injected fault, or an
      *  early sweep stop; their patterns are not in the result. */
     size_t skippedPairs = 0;
     bool aborted = false;        ///< blew the candidate budget
@@ -118,9 +106,9 @@ struct AuResult {
  * Run anti-unification over all admissible e-class pairs.
  *
  * When @p budget is given, the sweep charges one unit per raw candidate
- * against it and clamps its deadline (from options.maxSeconds) to the
- * budget's.  Over-budget or faulted pairs are skipped and recorded in
- * AuStats::skippedPairs; the sweep never throws for per-pair failures.
+ * against it and stops at its deadline.  Over-budget or faulted pairs
+ * are skipped and recorded in AuStats::skippedPairs; the sweep never
+ * throws for per-pair failures.
  */
 AuResult identifyPatterns(const EGraph& egraph, const AuOptions& options,
                           Budget* budget = nullptr);

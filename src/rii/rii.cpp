@@ -1,6 +1,7 @@
 #include "rii/rii.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <new>
 #include <sstream>
 #include <unordered_set>
@@ -76,6 +77,22 @@ modeName(Mode mode)
         return "LLMT";
     }
     return "?";
+}
+
+std::optional<Mode>
+parseMode(std::string_view text)
+{
+    auto lower = [](char c) {
+        return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    };
+    for (const Mode mode : kAllModes) {
+        const std::string_view name = modeName(mode);
+        if (std::equal(text.begin(), text.end(), name.begin(), name.end(),
+                       [&](char a, char b) { return lower(a) == lower(b); })) {
+            return mode;
+        }
+    }
+    return std::nullopt;
 }
 
 RiiConfig
@@ -170,7 +187,7 @@ runRii(const frontend::EncodedProgram& program,
             stats.ruleTotals[name] += totals;
         }
     };
-    Budget runBudget(config.budget, config.parentBudget);
+    Budget runBudget(BudgetSpec{}, config.parentBudget);
     const uint64_t faultsBefore = fault::Registry::instance().firedCount();
 
     // Vector mode runs pattern vectorization up front (its phase applies

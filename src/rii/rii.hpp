@@ -25,6 +25,8 @@
 #pragma once
 
 #include <map>
+#include <optional>
+#include <string_view>
 
 #include "frontend/encode.hpp"
 #include "profile/interp.hpp"
@@ -40,8 +42,19 @@ namespace rii {
 /** RII operating mode. */
 enum class Mode { Default, AstSize, KDSample, Vector, NoEqSat, LLMT };
 
+/** Every mode, in declaration order. */
+inline constexpr Mode kAllModes[] = {Mode::Default,  Mode::AstSize,
+                                     Mode::KDSample, Mode::Vector,
+                                     Mode::NoEqSat,  Mode::LLMT};
+
 /** Printable mode name. */
 const char* modeName(Mode mode);
+
+/**
+ * The mode whose modeName() equals @p text ignoring case ("default",
+ * "KDSample", ...); nullopt for any other text.
+ */
+std::optional<Mode> parseMode(std::string_view text);
 
 /** Configuration for one RII run. */
 struct RiiConfig {
@@ -59,21 +72,13 @@ struct RiiConfig {
     VectorizeOptions vectorize;
 
     /**
-     * Whole-run budget (unlimited by default).  Per-stage budgets are
-     * split from it, so its deadline bounds the run end to end and its
-     * unit allowance bounds total rewrite applications + AU candidates.
-     * Tripping it degrades the run (remaining phases are skipped and
-     * recorded in RunDiagnostics); it never aborts.
-     */
-    BudgetSpec budget;
-
-    /**
-     * Optional enclosing budget the run budget is split from.  The
-     * server threads each request's root budget through here so the
-     * request deadline clamps the run and a watchdog cancel() on the
-     * root stops every stage at its next charge/poll.  Must outlive the
-     * runRii call; nullptr (the default, and every CLI path) keeps the
-     * run budget a root.
+     * Optional whole-run budget; nullptr (the default, and every CLI
+     * path) runs unlimited.  Every stage budget is split from it, so its
+     * deadline bounds the run end to end and its unit allowance bounds
+     * total rewrite applications + AU candidates.  The server passes
+     * each request's root budget here.  Tripping it degrades the run
+     * (remaining phases are skipped and recorded in RunDiagnostics); it
+     * never aborts.  Must outlive the runRii call.
      */
     Budget* parentBudget = nullptr;
 

@@ -156,9 +156,7 @@ selectAndRefine(const EGraph& egraph, EClassId root,
                        "selection supports at most 64 candidates");
     root = egraph.find(root);
 
-    BudgetSpec spec;
-    spec.maxSeconds = options.maxSeconds;
-    Budget budget(spec, parent);
+    Budget budget(BudgetSpec{}, parent);
     SelectOutcome localOutcome;
     SelectOutcome& out = outcome != nullptr ? *outcome : localOutcome;
     out = SelectOutcome{};

@@ -42,10 +42,6 @@ struct SelectOptions {
     size_t beamK = 8;        ///< per-class front width
     int maxRounds = 64;      ///< fixpoint bound for cyclic graphs
     bool astSizeObjective = false;  ///< AstSize mode: minimize term size
-
-    /** Wall-clock allowance for selection + refinement (unlimited by
-     *  default); tripping it truncates rather than aborts. */
-    double maxSeconds = kUnlimitedSeconds;
 };
 
 /** Degradation record of one selection run. */
@@ -57,11 +53,11 @@ struct SelectOutcome {
 /**
  * Run Pareto selection + refinement over @p egraph.
  *
- * When @p budget is given, its deadline (clamped with options.maxSeconds)
- * is polled between fixpoint rounds and refinement steps; on a trip the
- * partial fronts computed so far are refined and returned -- still
- * internally Pareto-consistent, just possibly missing solutions -- and
- * @p outcome (when non-null) records the truncation.
+ * When @p budget is given, its deadline is polled between fixpoint
+ * rounds and refinement steps; on a trip the partial fronts computed so
+ * far are refined and returned -- still internally Pareto-consistent,
+ * just possibly missing solutions -- and @p outcome (when non-null)
+ * records the truncation.
  *
  * @param candidates costed candidates (at most 64; callers pre-rank)
  * @return non-dominated refined solutions, sorted by increasing area

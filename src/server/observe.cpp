@@ -288,7 +288,6 @@ serverCountersJson(const ServerCounters& c)
        << ", \"badRequest\": " << c.badRequest
        << ", \"overloaded\": " << c.overloaded
        << ", \"cacheHits\": " << c.cacheHits
-       << ", \"cancelled\": " << c.cancelled
        << ", \"purgeSweeps\": " << c.purgeSweeps
        << ", \"purgedNodes\": " << c.purgedNodes << "}";
     return os.str();
@@ -329,7 +328,6 @@ buildExposition(const SharedState& state,
     family("bad_request", "counter", c.badRequest);
     family("overloaded", "counter", c.overloaded);
     family("cache_hits", "counter", c.cacheHits);
-    family("cancelled", "counter", c.cancelled);
     family("purge_sweeps", "counter", c.purgeSweeps);
     family("purged_nodes", "counter", c.purgedNodes);
     if (observability != nullptr) {

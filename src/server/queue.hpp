@@ -1,32 +1,23 @@
 /**
  * @file
- * Vyukov-style bounded MPMC queue: the server's request channel.
+ * Bounded FIFO queue: the server's request channel.
  *
- * The classic design (Dmitry Vyukov's bounded MPMC queue, the same
- * algorithm xenium ships as `vyukov_bounded_queue`): a power-of-two ring
- * of cells, each carrying a sequence number.  A producer claims a cell by
- * CAS-advancing the enqueue cursor when the cell's sequence says "empty
- * for this lap", writes the value, then publishes by bumping the sequence;
- * consumers mirror the dance on the dequeue cursor.  Every operation is
- * lock-free (one CAS on the uncontended path), bounded (tryPush fails
- * when the ring is full -- that failure IS the server's backpressure
- * signal, surfaced to clients as `status:"overloaded"`), and FIFO per
- * producer.
- *
- * tryPush/tryPop never block, which keeps the reader loop responsive; the
- * blocking conveniences (waitPop) sleep on a condition variable that
- * producers only signal after a successful push, so an idle server parks
- * its session lanes instead of spinning.  The condvar is a wake-up hint
- * layered *beside* the lock-free ring, not a lock around it: a woken
- * consumer still claims its cell with the normal CAS protocol.
+ * One mutex guards a deque holding at most `capacity` items.  tryPush
+ * never blocks and fails when the queue is full -- that failure IS the
+ * server's backpressure signal, surfaced to clients as
+ * `status:"overloaded"`.  waitPop parks a consumer on a condition
+ * variable until an item arrives, its patience runs out, or interrupt()
+ * is called, so an idle server parks its session lanes instead of
+ * spinning.  The server has one producer (the reader thread) and a few
+ * lanes, each holding the lock only to move one request, so a lock-free
+ * ring has no contention to remove.
  */
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
-#include <memory>
+#include <deque>
 #include <mutex>
 #include <utility>
 
@@ -38,113 +29,53 @@ namespace server {
 template <typename T>
 class BoundedQueue {
  public:
-    /** @p capacity is rounded up to a power of two (minimum 2). */
-    explicit BoundedQueue(size_t capacity)
+    /** A queue holding at most @p capacity (>= 1) items. */
+    explicit BoundedQueue(size_t capacity) : capacity_(capacity)
     {
-        size_t cap = 2;
-        while (cap < capacity) {
-            cap <<= 1;
-        }
-        mask_ = cap - 1;
-        cells_ = std::make_unique<Cell[]>(cap);
-        for (size_t i = 0; i < cap; ++i) {
-            cells_[i].sequence.store(i, std::memory_order_relaxed);
-        }
+        ISAMORE_CHECK_MSG(capacity > 0, "queue capacity must be positive");
     }
 
-    size_t capacity() const { return mask_ + 1; }
+    size_t capacity() const { return capacity_; }
 
     /**
      * Enqueue @p value.  Returns false -- without blocking and without
-     * touching @p value -- when the ring is full; the caller turns that
+     * touching @p value -- when the queue is full; the caller turns that
      * into an explicit overload response.
      */
     bool
     tryPush(T&& value)
     {
-        Cell* cell;
-        size_t pos = enqueue_.load(std::memory_order_relaxed);
-        for (;;) {
-            cell = &cells_[pos & mask_];
-            const size_t seq = cell->sequence.load(std::memory_order_acquire);
-            const intptr_t diff = static_cast<intptr_t>(seq) -
-                                  static_cast<intptr_t>(pos);
-            if (diff == 0) {
-                if (enqueue_.compare_exchange_weak(
-                        pos, pos + 1, std::memory_order_relaxed)) {
-                    break;
-                }
-            } else if (diff < 0) {
-                return false;  // full: the consumer lap hasn't freed it
-            } else {
-                pos = enqueue_.load(std::memory_order_relaxed);
-            }
-        }
-        cell->value = std::move(value);
-        cell->sequence.store(pos + 1, std::memory_order_release);
-        // Wake one parked consumer.  The lock is required for the
-        // missed-wakeup race (consumer checked the ring, then parked).
         {
-            std::lock_guard<std::mutex> lock(wakeMutex_);
+            std::lock_guard<std::mutex> lock(mutex_);
+            if (items_.size() >= capacity_) {
+                return false;
+            }
+            items_.push_back(std::move(value));
         }
-        wakeCv_.notify_one();
+        ready_.notify_one();
         return true;
     }
 
-    /** Dequeue into @p out.  Returns false when the ring is empty. */
+    /** Dequeue into @p out.  Returns false when the queue is empty. */
     bool
     tryPop(T& out)
     {
-        Cell* cell;
-        size_t pos = dequeue_.load(std::memory_order_relaxed);
-        for (;;) {
-            cell = &cells_[pos & mask_];
-            const size_t seq = cell->sequence.load(std::memory_order_acquire);
-            const intptr_t diff = static_cast<intptr_t>(seq) -
-                                  static_cast<intptr_t>(pos + 1);
-            if (diff == 0) {
-                if (dequeue_.compare_exchange_weak(
-                        pos, pos + 1, std::memory_order_relaxed)) {
-                    break;
-                }
-            } else if (diff < 0) {
-                return false;  // empty
-            } else {
-                pos = dequeue_.load(std::memory_order_relaxed);
-            }
-        }
-        out = std::move(cell->value);
-        cell->sequence.store(pos + mask_ + 1, std::memory_order_release);
-        return true;
+        std::lock_guard<std::mutex> lock(mutex_);
+        return popLocked(out);
     }
 
     /**
-     * Dequeue, parking on the wake condvar until an element arrives,
-     * @p deadline passes, or interrupt() is called.  Returns false on
-     * timeout/interrupt with the queue still empty.
+     * Dequeue, parking until an item arrives, @p patience passes, or
+     * interrupt() is called.  Returns false on timeout/interrupt with the
+     * queue still empty: after interrupt() the backlog still drains.
      */
     bool
     waitPop(T& out, std::chrono::milliseconds patience)
     {
-        if (tryPop(out)) {
-            return true;
-        }
-        std::unique_lock<std::mutex> lock(wakeMutex_);
-        const auto deadline = std::chrono::steady_clock::now() + patience;
-        // The empty-check runs while holding the wake mutex and producers
-        // notify under it, so a push between our failed tryPop and the
-        // wait cannot be a lost wakeup: the producer blocks on the mutex
-        // until we release it inside wait_until.
-        while (!tryPop(out)) {
-            if (interrupted_) {
-                return false;
-            }
-            if (wakeCv_.wait_until(lock, deadline) ==
-                std::cv_status::timeout) {
-                return tryPop(out);
-            }
-        }
-        return true;
+        std::unique_lock<std::mutex> lock(mutex_);
+        ready_.wait_for(lock, patience,
+                        [&] { return !items_.empty() || interrupted_; });
+        return popLocked(out);
     }
 
     /** Wake every parked consumer (shutdown path). */
@@ -152,48 +83,32 @@ class BoundedQueue {
     interrupt()
     {
         {
-            std::lock_guard<std::mutex> lock(wakeMutex_);
+            std::lock_guard<std::mutex> lock(mutex_);
             interrupted_ = true;
         }
-        wakeCv_.notify_all();
-    }
-
-    /** Lower the interrupt latch (tests reuse one queue across phases). */
-    void
-    clearInterrupt()
-    {
-        std::lock_guard<std::mutex> lock(wakeMutex_);
-        interrupted_ = false;
-    }
-
-    /** Approximate occupancy (exact only at quiescent points). */
-    size_t
-    size() const
-    {
-        const size_t enq = enqueue_.load(std::memory_order_relaxed);
-        const size_t deq = dequeue_.load(std::memory_order_relaxed);
-        return enq >= deq ? enq - deq : 0;
+        ready_.notify_all();
     }
 
     BoundedQueue(const BoundedQueue&) = delete;
     BoundedQueue& operator=(const BoundedQueue&) = delete;
 
  private:
-    /** One ring slot; the sequence number encodes lap + occupancy. */
-    struct alignas(64) Cell {
-        std::atomic<size_t> sequence{0};
-        T value{};
-    };
+    bool
+    popLocked(T& out)
+    {
+        if (items_.empty()) {
+            return false;
+        }
+        out = std::move(items_.front());
+        items_.pop_front();
+        return true;
+    }
 
-    std::unique_ptr<Cell[]> cells_;
-    size_t mask_ = 0;
-    // Producer and consumer cursors on separate cache lines.
-    alignas(64) std::atomic<size_t> enqueue_{0};
-    alignas(64) std::atomic<size_t> dequeue_{0};
-
-    std::mutex wakeMutex_;
-    std::condition_variable wakeCv_;
-    bool interrupted_ = false;  // guarded by wakeMutex_
+    const size_t capacity_;
+    std::mutex mutex_;
+    std::condition_variable ready_;
+    std::deque<T> items_;       // guarded by mutex_
+    bool interrupted_ = false;  // guarded by mutex_
 };
 
 }  // namespace server

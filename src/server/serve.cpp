@@ -6,7 +6,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -29,60 +28,11 @@ namespace server {
 
 namespace {
 
-/**
- * The watchdog's view of running requests: root budgets keyed by request
- * sequence number, each with the wall-clock instant past which it must be
- * cancelled.  Budgets are registered only while the owning lane is inside
- * executeRequest, so the pointers never dangle.
- */
-class InFlightTable {
- public:
-    void
-    add(uint64_t seq, Budget* budget,
-        std::chrono::steady_clock::time_point deadline)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        entries_[seq] = {budget, deadline};
-    }
-
-    void
-    remove(uint64_t seq)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        entries_.erase(seq);
-    }
-
-    /** Cancel every budget past its deadline; returns how many. */
-    size_t
-    reapOverdue(std::chrono::steady_clock::time_point now)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        size_t reaped = 0;
-        for (auto& [seq, entry] : entries_) {
-            if (now >= entry.deadline && !entry.cancelled) {
-                entry.budget->cancel();
-                entry.cancelled = true;
-                ++reaped;
-            }
-        }
-        return reaped;
-    }
-
- private:
-    struct Entry {
-        Budget* budget = nullptr;
-        std::chrono::steady_clock::time_point deadline;
-        bool cancelled = false;
-    };
-    std::mutex mutex_;
-    std::map<uint64_t, Entry> entries_;
-};
-
 /** Cap on spans captured per request for the flight recorder; overflow
  *  only bumps the sink's dropped counter. */
 constexpr size_t kFlightSinkCapacity = 4096;
 
-/** Everything the lanes, reader, and watchdog share. */
+/** Everything the lanes and the reader share. */
 struct ServeContext {
     explicit ServeContext(const ServeOptions& opts)
         : options(opts), queue(opts.queueCapacity) {}
@@ -90,7 +40,6 @@ struct ServeContext {
     const ServeOptions& options;
     SharedState state;
     BoundedQueue<Request> queue;
-    InFlightTable inFlight;
 
     std::mutex outMutex;
     std::ostream* out = nullptr;
@@ -102,7 +51,6 @@ struct ServeContext {
 
     std::atomic<bool> stopping{false};
     std::atomic<uint64_t> analyzesSinceSweep{0};
-    std::atomic<uint64_t> watchdogCancellations{0};
 
     /** Wakes the metrics-snapshot thread for prompt shutdown. */
     std::mutex stopMutex;
@@ -255,8 +203,8 @@ purgeSweep(ServeContext& ctx)
         notice(ctx, os.str());
     }
     // The exclusive lane is a quiescent point (no live spans anywhere:
-    // lanes are blocked outside executeRequest, the reader and watchdog
-    // never open spans), so this is the one safe place to drop the
+    // lanes are blocked outside executeRequest, the reader never
+    // opens spans), so this is the one safe place to drop the
     // global tracer's buffers -- an always-on daemon would otherwise
     // accumulate span events until the per-thread cap.  Per-request
     // flight traces are unaffected: they capture via RequestSink.
@@ -283,7 +231,7 @@ laneMain(ServeContext& ctx, size_t lane)
                                std::chrono::milliseconds(200))) {
             if (ctx.stopping.load(std::memory_order_acquire)) {
                 // Interrupted: waitPop keeps returning queued items
-                // until the ring is empty, so reaching false here means
+                // until the queue is empty, so reaching false here means
                 // the backlog is fully drained.
                 return;
             }
@@ -306,14 +254,6 @@ laneMain(ServeContext& ctx, size_t lane)
         }
 
         Budget root(requestBudgetSpec(request));
-        const bool watched = request.deadlineMs > 0.0;
-        if (watched) {
-            ctx.inFlight.add(
-                request.seq, &root,
-                std::chrono::steady_clock::now() +
-                    std::chrono::microseconds(static_cast<int64_t>(
-                        request.deadlineMs * 1e3)));
-        }
 
         // Every span the pipeline closes while this request runs is
         // copied into the request's sink (the pool forwards the sink to
@@ -333,13 +273,6 @@ laneMain(ServeContext& ctx, size_t lane)
                 std::shared_lock<std::shared_mutex> shared(
                     ctx.state.isolationLock());
                 response = ctx.state.executeRequest(request, root);
-            }
-        }
-
-        if (watched) {
-            ctx.inFlight.remove(request.seq);
-            if (root.effectiveStop() == BudgetStop::Cancelled) {
-                ctx.state.recordCancelled();
             }
         }
 
@@ -476,23 +409,6 @@ metricsMain(ServeContext& ctx)
     }
 }
 
-/** Watchdog: poll the in-flight table and cancel overdue budgets. */
-void
-watchdogMain(ServeContext& ctx)
-{
-    const auto period =
-        std::chrono::milliseconds(ctx.options.watchdogPollMs);
-    while (!ctx.stopping.load(std::memory_order_acquire)) {
-        const size_t reaped =
-            ctx.inFlight.reapOverdue(std::chrono::steady_clock::now());
-        if (reaped > 0) {
-            ctx.watchdogCancellations.fetch_add(
-                reaped, std::memory_order_relaxed);
-        }
-        std::this_thread::sleep_for(period);
-    }
-}
-
 }  // namespace
 
 int
@@ -599,7 +515,6 @@ serveLoop(std::istream& in, std::ostream& out, std::ostream& err,
     for (size_t i = 0; i < options.lanes; ++i) {
         lanes.emplace_back(laneMain, std::ref(ctx), i);
     }
-    std::thread watchdog(watchdogMain, std::ref(ctx));
     std::thread metrics;
     if (options.metricsIntervalMs > 0 && !options.metricsPath.empty()) {
         metrics = std::thread(metricsMain, std::ref(ctx));
@@ -682,7 +597,7 @@ serveLoop(std::istream& in, std::ostream& out, std::ostream& err,
             emitEvent(ctx, ev.str());
         }
         if (!ctx.queue.tryPush(std::move(request))) {
-            // tryPush leaves the request untouched when the ring is
+            // tryPush leaves the request untouched when the queue is
             // full, so it is still safe to answer from.
             readerAnswer(request,
                          ctx.state.overloadedResponse(
@@ -697,7 +612,6 @@ serveLoop(std::istream& in, std::ostream& out, std::ostream& err,
     for (auto& lane : lanes) {
         lane.join();
     }
-    watchdog.join();
     {
         std::lock_guard<std::mutex> lock(ctx.stopMutex);
     }
@@ -718,8 +632,7 @@ serveLoop(std::istream& in, std::ostream& out, std::ostream& err,
            << ", invalid " << counters.invalid << ", internal "
            << counters.internal << ", bad_request " << counters.badRequest
            << ", overloaded " << counters.overloaded << "), cache hits "
-           << counters.cacheHits << ", watchdog cancellations "
-           << ctx.watchdogCancellations.load() << ", purge sweeps "
+           << counters.cacheHits << ", purge sweeps "
            << counters.purgeSweeps << "\n";
         const uint64_t flightDumps =
             telemetry::Registry::instance()

@@ -1,6 +1,6 @@
 /**
  * @file
- * The analysis daemon's serving loop: threads, queue, watchdog, purge.
+ * The analysis daemon's serving loop: threads, queue, purge.
  *
  * Topology (see DESIGN.md "Server mode & overload taxonomy"):
  *
@@ -10,16 +10,17 @@
  *           BoundedQueue  -- full? answer "overloaded" immediately
  *                 |
  *           session lanes (N worker threads)
- *                 |  per-request root Budget + watchdog registration
+ *                 |  per-request root Budget (the request's deadline)
  *                 |  shared/exclusive isolation lock (fault scopes, purge)
  *                 v
  *     stdout <-- one JSON line per response (mutex-serialized)
  *
- * A watchdog thread polls the in-flight table and cancel()s any root
- * budget past its deadline, so a request that stops polling its own
- * deadline still gets reeled in.  Every `purgeEvery` analyze responses,
- * a lane takes the exclusive lock and runs internPurge() + a telemetry
- * sweep so a long-lived daemon's intern table stays bounded.
+ * A request's deadline lives only in its root Budget: the pipeline polls
+ * it where it charges work (EqSat every 64 applications, AU at every
+ * step) and stops there with partial results.  Every `purgeEvery`
+ * analyze responses, a lane takes the exclusive lock and runs
+ * internPurge() + a telemetry sweep so a long-lived daemon's intern
+ * table stays bounded.
  *
  * Stdout hygiene: the ONLY bytes this loop ever writes to @p out are
  * complete JSON response lines.  Banners, purge notices, and shutdown
@@ -40,12 +41,10 @@ namespace server {
 struct ServeOptions {
     /** Session lanes (worker threads) draining the queue. */
     size_t lanes = 2;
-    /** Bounded request-queue capacity (rounded up to a power of two). */
+    /** Bounded request-queue capacity. */
     size_t queueCapacity = 64;
     /** Run an intern purge sweep every this many analyze responses. */
     size_t purgeEvery = 64;
-    /** Watchdog poll period in milliseconds. */
-    size_t watchdogPollMs = 5;
     /** Print a startup banner and shutdown summary to the error stream. */
     bool banner = true;
     /**

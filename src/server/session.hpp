@@ -190,7 +190,6 @@ struct ServerCounters {
     uint64_t cacheHits = 0;
     uint64_t purgeSweeps = 0;
     uint64_t purgedNodes = 0;  ///< interned nodes dropped by sweeps
-    uint64_t cancelled = 0;    ///< budgets cancelled by the watchdog
 };
 
 /**
@@ -208,9 +207,9 @@ class SharedState {
     SharedState();
 
     /**
-     * Execute @p request under @p rootBudget (the caller owns budget
-     * registration with the watchdog and the isolation lock).  Returns a
-     * fully populated Response; never throws.
+     * Execute @p request under @p rootBudget (the caller builds it from
+     * requestBudgetSpec() and holds the isolation lock).  Returns a fully
+     * populated Response; never throws.
      */
     Response executeRequest(const Request& request, Budget& rootBudget);
 
@@ -236,9 +235,6 @@ class SharedState {
      * view.
      */
     ServerCounters recordPurge(size_t droppedNodes);
-
-    /** Record a watchdog cancellation. */
-    void recordCancelled();
 
     /**
      * The readers/writer lane gate: normal requests run shared,

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "support/stopwatch.hpp"
-
 namespace isamore {
 
 const char*
@@ -17,10 +15,6 @@ budgetStopName(BudgetStop stop)
         return "deadline";
       case BudgetStop::Units:
         return "units";
-      case BudgetStop::Memory:
-        return "memory";
-      case BudgetStop::Cancelled:
-        return "cancelled";
     }
     return "?";
 }
@@ -30,8 +24,7 @@ Budget::Budget() : start_(Clock::now()) {}
 Budget::Budget(const BudgetSpec& spec, Budget* parent)
     : parent_(parent),
       start_(Clock::now()),
-      maxUnits_(spec.maxUnits),
-      maxRssBytes_(spec.maxRssBytes)
+      maxUnits_(spec.maxUnits)
 {
     if (spec.maxSeconds != kUnlimitedSeconds) {
         hasDeadline_ = true;
@@ -54,7 +47,6 @@ Budget::Budget(Budget&& other) noexcept
       deadline_(other.deadline_),
       maxUnits_(other.maxUnits_),
       usedUnits_(other.usedUnits_.load(std::memory_order_relaxed)),
-      maxRssBytes_(other.maxRssBytes_),
       stop_(other.stop_.load(std::memory_order_relaxed))
 {
 }
@@ -104,10 +96,6 @@ Budget::checkDeadline()
     if (hasDeadline_ && Clock::now() > deadline_) {
         return latchStop(BudgetStop::Deadline);
     }
-    if (maxRssBytes_ != kUnlimitedAmount &&
-        currentRssBytes() > maxRssBytes_) {
-        return latchStop(BudgetStop::Memory);
-    }
     return false;
 }
 
@@ -141,7 +129,6 @@ Budget::unconstrained() const
          level = level->parent_) {
         if (level->hasDeadline_ ||
             level->maxUnits_ != kUnlimitedAmount ||
-            level->maxRssBytes_ != kUnlimitedAmount ||
             level->stop_.load(std::memory_order_relaxed) !=
                 BudgetStop::None) {
             return false;

@@ -2,22 +2,24 @@
  * @file
  * Hierarchical resource budgets for the pipeline stages.
  *
- * A Budget bundles the three resources a stage can run out of -- a
- * wall-clock deadline, a consumable work-unit allowance (rewrite
- * applications, AU candidates, ...), and a resident-memory ceiling --
- * behind one object that can be *split*: `parent.child(spec)` derives a
- * budget whose deadline is clamped to the parent's and whose unit charges
- * propagate up the chain, so a run-level budget bounds the sum of all
- * stage-level consumption no matter how the stages subdivide it.
+ * A Budget bundles the two resources a stage can run out of -- a
+ * wall-clock deadline and a consumable work-unit allowance (rewrite
+ * applications, AU candidates, ...) -- behind one object that can be
+ * *split*: `parent.child(spec)` derives a budget whose deadline is
+ * clamped to the parent's and whose unit charges propagate up the
+ * chain, so a run-level budget bounds the sum of all stage-level
+ * consumption no matter how the stages subdivide it.
  *
  * All limits default to "unlimited", making a default Budget free to
  * thread through hot paths: charge() is a counter bump and compare, and
  * expired() only reads the clock when a deadline is actually set.
  *
  * Budgets are sticky: once any limit trips, ok() stays false and stop()
- * reports the first limit that tripped.  Callers are expected to treat a
- * tripped budget as "stop cleanly and report partial results", never as
- * an error (see DESIGN.md "Error taxonomy and degradation semantics").
+ * reports the first limit that tripped.  Nothing outside the stages
+ * stops a run: each stage polls its budget where it charges work.
+ * Callers are expected to treat a tripped budget as "stop cleanly and
+ * report partial results", never as an error (see DESIGN.md "Error
+ * taxonomy and degradation semantics").
  */
 #pragma once
 
@@ -40,19 +42,17 @@ inline constexpr size_t kUnlimitedAmount =
 struct BudgetSpec {
     double maxSeconds = kUnlimitedSeconds;  ///< wall-clock allowance
     size_t maxUnits = kUnlimitedAmount;     ///< consumable work units
-    size_t maxRssBytes = kUnlimitedAmount;  ///< resident-memory ceiling
 
     bool
     unlimited() const
     {
         return maxSeconds == kUnlimitedSeconds &&
-               maxUnits == kUnlimitedAmount &&
-               maxRssBytes == kUnlimitedAmount;
+               maxUnits == kUnlimitedAmount;
     }
 };
 
 /** The first limit a budget ran out of. */
-enum class BudgetStop { None, Deadline, Units, Memory, Cancelled };
+enum class BudgetStop { None, Deadline, Units };
 
 /** Printable name of a BudgetStop. */
 const char* budgetStopName(BudgetStop stop);
@@ -81,31 +81,19 @@ class Budget {
 
     /**
      * Whether any limit has tripped here or in an ancestor.  Polls the
-     * deadline (and the RSS ceiling, when one is set); the result is
-     * sticky.
+     * deadline; the result is sticky.
      */
     bool expired();
 
     /** !expired(). */
     bool ok() { return !expired(); }
 
-    /**
-     * Externally latch the Cancelled stop (idempotent; an earlier stop
-     * wins).  This is the asynchronous cancellation hook: a watchdog
-     * thread can expire a budget another thread is charging against
-     * without waiting for that thread to poll the deadline -- charge()
-     * observes the latch on its next call, which covers hot paths that
-     * never call expired().  Cancellation counts as a deadline-class stop
-     * for degradation reporting.
-     */
-    void cancel() { latchStop(BudgetStop::Cancelled); }
-
     /** The first limit that tripped on *this* level (None while ok). */
     BudgetStop stop() const { return stop_.load(std::memory_order_relaxed); }
 
     /**
      * Whether this budget and every ancestor carry no limit at all: no
-     * deadline, no unit allowance, no RSS ceiling, and no stop latched.
+     * deadline, no unit allowance, and no stop latched.
      * Caching layers use this to decide whether recorded work may be
      * replayed: only an unconstrained chain is guaranteed to reach the
      * same outcome the recorded (uninterrupted) run reached.
@@ -151,7 +139,6 @@ class Budget {
     // (the AU shards and EqSat's match fan-out all charge one run budget),
     // so the mutable state is a fetch_add counter plus a CAS-once latch.
     std::atomic<size_t> usedUnits_{0};
-    size_t maxRssBytes_ = kUnlimitedAmount;
     std::atomic<BudgetStop> stop_{BudgetStop::None};
 };
 

@@ -1,29 +1,9 @@
 #include "support/stopwatch.hpp"
 
-#include <unistd.h>
-
 #include <cstdio>
 #include <cstring>
 
 namespace isamore {
-
-size_t
-currentRssBytes()
-{
-    FILE* f = std::fopen("/proc/self/statm", "r");
-    if (f == nullptr) {
-        return 0;
-    }
-    long total = 0;
-    long resident = 0;
-    int n = std::fscanf(f, "%ld %ld", &total, &resident);
-    std::fclose(f);
-    if (n != 2) {
-        return 0;
-    }
-    return static_cast<size_t>(resident) *
-           static_cast<size_t>(sysconf(_SC_PAGESIZE));
-}
 
 size_t
 peakRssBytes()

@@ -33,12 +33,6 @@ class Stopwatch {
     Clock::time_point start_;
 };
 
-/**
- * Current resident set size of this process in bytes, read from
- * /proc/self/statm.  Returns 0 when unavailable.
- */
-size_t currentRssBytes();
-
 /** Peak resident set size (VmHWM) in bytes; 0 when unavailable. */
 size_t peakRssBytes();
 

@@ -225,6 +225,7 @@ TEST(Corpus, CorruptFileRefusedWithoutPartialState)
         {stale(2), "format version 2 unsupported"},
         {stale(3), "format version 3 unsupported"},
         {stale(4), "format version 4 unsupported"},
+        {stale(5), "format version 5 unsupported"},
         {retired(2), "unknown section tag 2"},
         {retired(3), "unknown section tag 3"},
     };

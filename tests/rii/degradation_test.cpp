@@ -97,30 +97,32 @@ TEST_F(DegradationTest, CandidateBudgetTripMidEnumeration)
     expectParetoInvariant(result);
 }
 
-TEST_F(DegradationTest, PerPairDeadlineSkipsAndRecords)
+/** A root budget whose deadline has already passed. */
+Budget
+expiredBudget()
 {
-    RiiConfig cfg = RiiConfig::forMode(Mode::Default);
-    cfg.au.maxSecondsPerPair = 0.0;  // every pair trips its deadline
-    auto result = runWithFaults("", cfg);
-    EXPECT_GT(result.diagnostics.skippedPairs, 0u);
-    EXPECT_TRUE(result.diagnostics.degraded());
-    expectParetoInvariant(result);
+    BudgetSpec spec;
+    spec.maxSeconds = 0.0;
+    return Budget(spec);
 }
 
 TEST_F(DegradationTest, SweepDeadlineSetsTimedOut)
 {
-    RiiConfig cfg = RiiConfig::forMode(Mode::Default);
-    cfg.au.maxSeconds = 0.0;  // the whole sweep is out of time
-    auto result = runWithFaults("", cfg);
-    EXPECT_TRUE(result.diagnostics.auTimedOut);
-    EXPECT_GT(result.diagnostics.skippedPairs, 0u);
-    EXPECT_TRUE(result.diagnostics.degraded());
+    // The whole sweep is out of time: every pair is skipped.
+    Budget parent = expiredBudget();
+    const AuResult result = identifyPatterns(
+        matmulAnalyzed().program.egraph,
+        RiiConfig::forMode(Mode::Default).au, &parent);
+    EXPECT_TRUE(result.stats.timedOut);
+    EXPECT_GT(result.stats.skippedPairs, 0u);
+    EXPECT_TRUE(result.patterns.empty());
 }
 
 TEST_F(DegradationTest, WholeRunBudgetSkipsPhases)
 {
+    Budget parent = expiredBudget();  // run-level budget already expired
     RiiConfig cfg = RiiConfig::forMode(Mode::Default);
-    cfg.budget.maxSeconds = 0.0;  // run-level budget already expired
+    cfg.parentBudget = &parent;
     auto result = runWithFaults("", cfg);
     EXPECT_TRUE(result.diagnostics.budgetExhausted);
     EXPECT_GT(result.diagnostics.skippedPhases, 0u);

@@ -23,6 +23,20 @@ library()
     return lib;
 }
 
+TEST(RiiTest, ParseModeInvertsModeName)
+{
+    for (const Mode mode : kAllModes) {
+        EXPECT_EQ(parseMode(modeName(mode)), mode) << modeName(mode);
+    }
+    // The command line and the request protocol spell modes in lower
+    // case.
+    EXPECT_EQ(parseMode("kdsample"), Mode::KDSample);
+    EXPECT_EQ(parseMode("llmt"), Mode::LLMT);
+    EXPECT_EQ(parseMode("warp9"), std::nullopt);
+    EXPECT_EQ(parseMode(""), std::nullopt);
+    EXPECT_EQ(parseMode("defaults"), std::nullopt);
+}
+
 TEST(RiiTest, DefaultModeFindsSpeedup)
 {
     auto result = runRii(matmulAnalyzed().program, matmulAnalyzed().profile,

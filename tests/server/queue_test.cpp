@@ -11,13 +11,16 @@ namespace isamore {
 namespace server {
 namespace {
 
-TEST(BoundedQueueTest, CapacityRoundsUpToPowerOfTwo)
+TEST(BoundedQueueTest, CapacityIsExact)
 {
-    EXPECT_EQ(BoundedQueue<int>(1).capacity(), 2u);
-    EXPECT_EQ(BoundedQueue<int>(2).capacity(), 2u);
-    EXPECT_EQ(BoundedQueue<int>(3).capacity(), 4u);
-    EXPECT_EQ(BoundedQueue<int>(64).capacity(), 64u);
-    EXPECT_EQ(BoundedQueue<int>(65).capacity(), 128u);
+    for (const size_t capacity : {1u, 2u, 3u, 64u, 65u}) {
+        BoundedQueue<int> queue(capacity);
+        EXPECT_EQ(queue.capacity(), capacity);
+        for (size_t i = 0; i < capacity; ++i) {
+            EXPECT_TRUE(queue.tryPush(int(i)));
+        }
+        EXPECT_FALSE(queue.tryPush(-1)) << "capacity " << capacity;
+    }
 }
 
 TEST(BoundedQueueTest, FifoWithinCapacity)

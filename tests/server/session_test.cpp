@@ -306,19 +306,6 @@ TEST(SharedStateTest, TightDeadlineDegrades)
     EXPECT_NE(response.diagnostics.find("budget"), std::string::npos);
 }
 
-TEST(SharedStateTest, CancelledRootBudgetDegrades)
-{
-    // What the watchdog does to an overrunning request: cancel() the
-    // root from outside.  A pre-cancelled root makes every stage stop
-    // at its first charge, so the run degrades deterministically.
-    SharedState state;
-    Budget root;
-    root.cancel();
-    const Response response =
-        state.executeRequest(analyzeRequest("matmul", false), root);
-    EXPECT_EQ(response.status, Status::Degraded);
-}
-
 TEST(SharedStateTest, ResponseCacheHitsAreByteIdentical)
 {
     SharedState state;

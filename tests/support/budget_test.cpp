@@ -225,7 +225,6 @@ TEST(BudgetTest, DescribeAndStopNames)
     EXPECT_STREQ(budgetStopName(BudgetStop::None), "none");
     EXPECT_STREQ(budgetStopName(BudgetStop::Deadline), "deadline");
     EXPECT_STREQ(budgetStopName(BudgetStop::Units), "units");
-    EXPECT_STREQ(budgetStopName(BudgetStop::Memory), "memory");
     BudgetSpec spec;
     spec.maxUnits = 7;
     Budget budget(spec);

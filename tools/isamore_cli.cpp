@@ -82,30 +82,6 @@ constexpr int kExitUser = 3;
 constexpr int kExitInternal = 4;
 constexpr int kExitDegraded = 5;
 
-std::optional<rii::Mode>
-parseMode(const std::string& text)
-{
-    if (text == "default") {
-        return rii::Mode::Default;
-    }
-    if (text == "astsize") {
-        return rii::Mode::AstSize;
-    }
-    if (text == "kdsample") {
-        return rii::Mode::KDSample;
-    }
-    if (text == "vector") {
-        return rii::Mode::Vector;
-    }
-    if (text == "noeqsat") {
-        return rii::Mode::NoEqSat;
-    }
-    if (text == "llmt") {
-        return rii::Mode::LLMT;
-    }
-    return std::nullopt;
-}
-
 int
 listWorkloads()
 {
@@ -214,7 +190,7 @@ runCommand(int argc, char** argv)
             if (value == nullptr) {
                 return kExitUsage;
             }
-            auto parsed = parseMode(value);
+            auto parsed = rii::parseMode(value);
             if (!parsed.has_value()) {
                 // An unknown enum value is a malformed command line, not
                 // bad input data: report it with the accepted set and

@@ -4,7 +4,7 @@
  *
  * Usage:
  *   isamore_serve [--lanes <n>] [--queue <n>] [--purge-every <n>]
- *                 [--threads <n>] [--watchdog-ms <n>] [--quiet]
+ *                 [--threads <n>] [--quiet]
  *                 [--corpus <path>] [--corpus-readonly]
  *                 [--events] [--flight-dir <dir>] [--flight-ring <n>]
  *                 [--slo-ms <n>] [--metrics-interval <ms>]
@@ -25,6 +25,9 @@
  * overload taxonomy"); the `result` field carries the byte-exact
  * single-shot CLI JSON document.  Every response additionally echoes
  * the server-assigned request id as `req` ("r-<stdin line>").
+ * `deadlineMs` and `maxUnits` set the request's root budget: the
+ * pipeline polls it where it charges work, stops there, and answers
+ * `degraded` with the partial result.
  *
  * Live observability (DESIGN.md "Live observability"): `--events`
  * streams a JSON-lines event log (accept/dispatch/done/reject/shed) on
@@ -66,7 +69,6 @@ usage(std::ostream& os)
        << "  --queue <n>        bounded request-queue capacity (default 64)\n"
        << "  --purge-every <n>  intern purge period in analyze responses\n"
        << "                     (default 64; 0 disables sweeps)\n"
-       << "  --watchdog-ms <n>  deadline-watchdog poll period (default 5)\n"
        << "  --threads <n>      size the work-stealing pool (>= 1)\n"
        << "  --corpus <path>    persistent warm-start corpus, shared by "
           "all lanes; loaded at\n"
@@ -143,11 +145,6 @@ main(int argc, char** argv)
         } else if (flag == "--purge-every") {
             if (!countValue(options.purgeEvery, true)) {
                 std::cerr << "isamore_serve: bad --purge-every value\n";
-                return kExitUsage;
-            }
-        } else if (flag == "--watchdog-ms") {
-            if (!countValue(options.watchdogPollMs, false)) {
-                std::cerr << "isamore_serve: bad --watchdog-ms value\n";
                 return kExitUsage;
             }
         } else if (flag == "--threads") {
