@@ -144,6 +144,17 @@ TEST(GoldenIdentityTest, MatmulAstSize)
 {
     runModeCase("matmul", workloads::makeMatMul, rii::Mode::AstSize);
 }
+// NoEqSat skips saturation entirely; LLMT is the only mode that runs
+// Exhaustive sampling, the unfiltered pair sweep and the 16-iteration
+// EqSat in one phase.
+TEST(GoldenIdentityTest, MatmulNoEqSat)
+{
+    runModeCase("matmul", workloads::makeMatMul, rii::Mode::NoEqSat);
+}
+TEST(GoldenIdentityTest, MatmulLLMT)
+{
+    runModeCase("matmul", workloads::makeMatMul, rii::Mode::LLMT);
+}
 TEST(GoldenIdentityTest, ShaKDSample)
 {
     runModeCase("sha", workloads::makeSha, rii::Mode::KDSample);
