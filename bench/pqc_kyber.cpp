@@ -28,7 +28,7 @@ main()
 
     auto result = identifyInstructions(analyzed, rii::Mode::Default);
     rii::CostModel cost(result.baseProgram, analyzed.profile,
-                        result.registry, 0.5);
+                        result.registry);
     // Integration-aware pick: the designer chooses the front solution
     // that survives the RoCC transfer costs best.
     auto [bestSol, rocc] =

@@ -215,7 +215,7 @@ runEnum(const ir::Module& module, const profile::ModuleProfile& profile,
                                         termHoles(group.pattern).size());
                                 const double per =
                                     sw - (group.latencyNs + operandNs +
-                                          options.invokeOverheadNs);
+                                          rii::kInvokeOverheadNs);
                                 occ.savedNs =
                                     per > 0 ? per * static_cast<double>(
                                                         stats.execCount)

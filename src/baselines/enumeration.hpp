@@ -26,7 +26,6 @@ struct EnumOptions {
     size_t maxOutputs = 3;
     size_t maxCandidatesPerBlock = 512;
     size_t maxSelected = 16;      ///< instructions in the largest solution
-    double invokeOverheadNs = 0.5;
 };
 
 /** One enumerated candidate instruction. */

@@ -14,6 +14,15 @@ namespace {
 using ir::BlockId;
 using ir::Instr;
 
+/** Hot blocks considered for merging. */
+constexpr size_t kMaxHotBlocks = 12;
+/** LCS ratio for a block to join a cluster. */
+constexpr double kSimilarityThreshold = 0.5;
+/** Merged units built at most. */
+constexpr size_t kMaxUnits = 8;
+/** Blocks with fewer compute ops are ignored as trivial. */
+constexpr size_t kMinBlockOps = 4;
+
 /** Opcode sequence of a block's compute instructions. */
 std::vector<Op>
 opcodeSequence(const ir::Block& block)
@@ -143,8 +152,7 @@ NoviaResult::averageSize() const
 }
 
 NoviaResult
-runNovia(const ir::Module& module, const profile::ModuleProfile& profile,
-         const NoviaOptions& options)
+runNovia(const ir::Module& module, const profile::ModuleProfile& profile)
 {
     struct Hot {
         int func;
@@ -160,7 +168,7 @@ runNovia(const ir::Module& module, const profile::ModuleProfile& profile,
         for (BlockId b = 0; b < module.functions[f].blocks.size(); ++b) {
             const auto& stats = profile.functions[f].blocks[b];
             auto seq = opcodeSequence(module.functions[f].blocks[b]);
-            if (stats.execCount == 0 || seq.size() < options.minBlockOps) {
+            if (stats.execCount == 0 || seq.size() < kMinBlockOps) {
                 continue;
             }
             auto [cycles, area] =
@@ -173,8 +181,8 @@ runNovia(const ir::Module& module, const profile::ModuleProfile& profile,
     std::sort(hot.begin(), hot.end(), [](const Hot& a, const Hot& b) {
         return a.cycles > b.cycles;
     });
-    if (hot.size() > options.maxHotBlocks) {
-        hot.resize(options.maxHotBlocks);
+    if (hot.size() > kMaxHotBlocks) {
+        hot.resize(kMaxHotBlocks);
     }
 
     // Greedy clustering by LCS similarity against the cluster seed.
@@ -195,13 +203,13 @@ runNovia(const ir::Module& module, const profile::ModuleProfile& profile,
                 static_cast<double>(common) /
                 static_cast<double>(
                     std::max(hot[i].seq.size(), hot[j].seq.size()));
-            if (ratio >= options.similarityThreshold) {
+            if (ratio >= kSimilarityThreshold) {
                 used[j] = true;
                 cluster.push_back(j);
             }
         }
         clusters.push_back(std::move(cluster));
-        if (clusters.size() >= options.maxUnits) {
+        if (clusters.size() >= kMaxUnits) {
             break;
         }
     }
@@ -254,7 +262,7 @@ runNovia(const ir::Module& module, const profile::ModuleProfile& profile,
                 profile::cyclesToNs(static_cast<double>(member.cycles) /
                                     static_cast<double>(member.execCount));
             const double per = swPerExec - (unit.latencyNs +
-                                            options.invokeOverheadNs);
+                                            rii::kInvokeOverheadNs);
             if (per > 0) {
                 unit.deltaNs +=
                     per * static_cast<double>(member.execCount);

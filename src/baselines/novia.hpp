@@ -19,15 +19,6 @@
 namespace isamore {
 namespace baselines {
 
-/** NOVIA configuration. */
-struct NoviaOptions {
-    size_t maxHotBlocks = 12;       ///< blocks considered for merging
-    double similarityThreshold = 0.5;  ///< LCS ratio to join a cluster
-    size_t maxUnits = 8;
-    double invokeOverheadNs = 0.5;
-    size_t minBlockOps = 4;         ///< ignore trivial blocks
-};
-
 /** One merged accelerator unit. */
 struct NoviaUnit {
     std::vector<std::pair<int, ir::BlockId>> members;  ///< merged blocks
@@ -51,8 +42,7 @@ struct NoviaResult {
 
 /** Run NOVIA over a profiled module. */
 NoviaResult runNovia(const ir::Module& module,
-                     const profile::ModuleProfile& profile,
-                     const NoviaOptions& options = {});
+                     const profile::ModuleProfile& profile);
 
 }  // namespace baselines
 }  // namespace isamore

@@ -438,7 +438,6 @@ hashEqSatLimits(const EqSatLimits& limits)
     uint64_t h = mix64(0x65713464ull);
     h = hashCombine(h, limits.maxNodes);
     h = hashCombine(h, limits.maxIterations);
-    h = hashCombine(h, doubleBits(limits.maxSeconds));
     h = hashCombine(h, limits.maxMatchesPerRule);
     return h;
 }
@@ -452,15 +451,9 @@ hashAuOptions(const rii::AuOptions& au)
     h = hashCombine(h, au.hashFilter ? 1 : 0);
     h = hashCombine(h, static_cast<uint64_t>(au.hammingThreshold));
     h = hashCombine(h, static_cast<uint64_t>(au.maxDepth));
-    h = hashCombine(h, au.maxPairs);
-    h = hashCombine(h, au.quadraticPairLimit);
-    h = hashCombine(h, au.bandingWindow);
     h = hashCombine(h, au.maxCandidates);
     h = hashCombine(h, au.maxPatternsPerPair);
     h = hashCombine(h, au.maxResultPatterns);
-    h = hashCombine(h, static_cast<uint64_t>(au.kdDims));
-    h = hashCombine(h, static_cast<uint64_t>(au.kdBeta));
-    h = hashCombine(h, au.minOps);
     return h;
 }
 
@@ -528,19 +521,26 @@ configFingerprint(const rii::RiiConfig& config)
     h = hashCombine(h, static_cast<uint64_t>(config.mode));
     h = hashCombine(h, static_cast<uint64_t>(
                            static_cast<int64_t>(config.maxPhases)));
-    h = hashCombine(h, config.rulesPerPhase);
     h = hashCombine(h, hashEqSatLimits(config.eqsat));
     h = hashCombine(h, hashAuOptions(config.au));
     h = hashCombine(h, config.select.beamK);
-    h = hashCombine(h, config.select.maxRounds);
     h = hashCombine(h, config.select.astSizeObjective ? 1 : 0);
-    h = hashCombine(h, static_cast<uint64_t>(
-                           static_cast<int64_t>(config.vectorize.lanes)));
-    h = hashCombine(h, config.vectorize.maxPacks);
-    h = hashCombine(h, hashAuOptions(config.vectorize.seedAu));
-    h = hashCombine(h, hashEqSatLimits(config.vectorize.liftLimits));
-    h = hashCombine(h, doubleBits(config.invokeOverheadNs));
-    h = hashCombine(h, config.maxCostedCandidates);
+    // The fixed values, so that editing one changes every result key.
+    h = hashCombine(h, rii::kRulesPerPhase);
+    h = hashCombine(h, rii::kMaxCostedCandidates);
+    h = hashCombine(h, doubleBits(rii::kInvokeOverheadNs));
+    h = hashCombine(h, rii::kMaxSelectCandidates);
+    h = hashCombine(h, rii::kMaxSelectRounds);
+    h = hashCombine(h, rii::kMaxPairs);
+    h = hashCombine(h, rii::kQuadraticPairLimit);
+    h = hashCombine(h, rii::kBandingWindow);
+    h = hashCombine(h, rii::kKdDims);
+    h = hashCombine(h, rii::kKdBeta);
+    h = hashCombine(h, rii::kMinOps);
+    h = hashCombine(h, rii::kPackLanes);
+    h = hashCombine(h, rii::kMaxPacks);
+    h = hashCombine(h, hashAuOptions(rii::kSeedAu));
+    h = hashCombine(h, hashEqSatLimits(rii::kLiftLimits));
     return h;
 }
 

@@ -73,7 +73,10 @@ uint64_t opSchemaFingerprint();
  */
 uint64_t programFingerprint(const AnalyzedWorkload& analyzed);
 
-/** Hash of every RiiConfig field that shapes pipeline output. */
+/**
+ * Hash of every RiiConfig field that shapes pipeline output, and of the
+ * fixed pipeline constants (kRulesPerPhase, kMaxPairs, kSeedAu, ...).
+ */
 uint64_t configFingerprint(const rii::RiiConfig& config);
 
 /** The Results-section key for one analysis request. */

@@ -33,7 +33,7 @@ namespace corpus {
 inline constexpr char kMagic[8] = {'I', 'S', 'A', 'M', 'C', 'R', 'P', '\n'};
 
 /** Bumped on any incompatible layout change; old files are refused. */
-inline constexpr uint32_t kFormatVersion = 6;
+inline constexpr uint32_t kFormatVersion = 7;
 
 /** Section tags (u32, stable; 1, 2, 3 and 5 belonged to retired
  *  sections and are refused as unknown). */

@@ -71,9 +71,7 @@ runEqSat(EGraph& egraph, const std::vector<RewriteRule>& rules,
     }
 
     Stopwatch watch;
-    BudgetSpec spec;
-    spec.maxSeconds = limits.maxSeconds;
-    Budget budget(spec, parent);
+    Budget budget(BudgetSpec{}, parent);
     egraph.rebuild();
     stats.peakNodes = egraph.numNodes();
     stats.peakClasses = egraph.numClasses();
@@ -102,7 +100,17 @@ runEqSat(EGraph& egraph, const std::vector<RewriteRule>& rules,
         programs.push_back(PatternProgram::compile(rule.lhs));
     }
 
-    for (size_t iter = 0; iter < limits.maxIterations; ++iter) {
+    for (size_t iter = 0;; ++iter) {
+        // Poll before any search: a spent budget starts no more work.
+        if (poll_budget()) {
+            stats.stopReason = out_of_time ? StopReason::TimeLimit
+                                           : StopReason::Budget;
+            return stats;
+        }
+        if (iter == limits.maxIterations) {
+            stats.stopReason = StopReason::IterLimit;
+            return stats;
+        }
         // The sizes are the graph's as the iteration starts.
         TELEM_SPAN_ARGS("eqsat.iter", "eqsat",
                         "\"run\": " + std::to_string(runId) +
@@ -267,15 +275,7 @@ runEqSat(EGraph& egraph, const std::vector<RewriteRule>& rules,
             stats.stopReason = StopReason::NodeLimit;
             return stats;
         }
-        if (poll_budget()) {
-            stats.stopReason = out_of_time ? StopReason::TimeLimit
-                                           : StopReason::Budget;
-            return stats;
-        }
     }
-    stats.stopReason = StopReason::IterLimit;
-    stats.seconds = watch.seconds();
-    return stats;
 }
 
 }  // namespace isamore

@@ -48,18 +48,19 @@ struct RewriteRule {
 RewriteRule makeRule(std::string name, const std::string& lhs,
                      const std::string& rhs, uint32_t flags);
 
-/** Resource limits for one equality-saturation run. */
+/**
+ * Work limits for one equality-saturation run.  There is no clock here:
+ * wall-clock time is bounded only by an enclosing Budget's deadline.
+ */
 struct EqSatLimits {
     size_t maxNodes = 100000;        ///< stop when the e-graph exceeds this
     size_t maxIterations = 16;       ///< rewrite sweeps
-    double maxSeconds = 30.0;        ///< wall-clock budget
     size_t maxMatchesPerRule = 2048; ///< per-rule per-iteration match cap
 };
 
 /**
- * Why an equality-saturation run stopped.  Budget means an enclosing
- * hierarchical budget (units or memory) ran out, as opposed to this run's
- * own wall-clock deadline (TimeLimit).
+ * Why an equality-saturation run stopped.  TimeLimit means an enclosing
+ * budget's deadline passed, Budget that its unit allowance ran out.
  */
 enum class StopReason { Saturated, NodeLimit, IterLimit, TimeLimit, Budget };
 
@@ -105,9 +106,10 @@ struct EqSatStats {
  * all matches, and rebuild, until saturation or a limit trips.
  *
  * When @p budget is given, the run charges one unit per rewrite
- * application against it and clamps its own deadline (from
- * limits.maxSeconds) to the budget's, so a run-level budget bounds EqSat
- * across all phases.  A rule whose search or application throws
+ * application against it and stops at its deadline, so a run-level
+ * budget bounds EqSat across all phases.  The budget is polled before
+ * each iteration's first search, so an already spent budget does no
+ * work.  A rule whose search or application throws
  * (InternalError / bad_alloc, e.g. under fault injection) is dropped and
  * counted in skippedRules; the sweep continues with the remaining rules.
  */

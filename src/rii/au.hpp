@@ -42,6 +42,19 @@ enum class Sampling {
     KdTree,      ///< kd-cell stratified sampling
 };
 
+/** Cap on explored e-class pairs; the sweep order's prefix is kept. */
+inline constexpr size_t kMaxPairs = 50000;
+/** Above this class count, pair selection uses the sorted-hash window
+ *  instead of the quadratic pair sweep. */
+inline constexpr size_t kQuadraticPairLimit = 3000;
+/** Window width of the sorted-hash banding pass. */
+inline constexpr size_t kBandingWindow = 48;
+/** kd-tree sampling: split dimensions and samples per cell. */
+inline constexpr size_t kKdDims = 2;
+inline constexpr size_t kKdBeta = 2;
+/** Candidate filter: minimum operation count of a useful pattern. */
+inline constexpr size_t kMinOps = 2;
+
 /** Options for one anti-unification sweep. */
 struct AuOptions {
     Sampling sampling = Sampling::Boundary;
@@ -55,13 +68,6 @@ struct AuOptions {
 
     /** Recursion depth bound for AU (holes beyond it). */
     int maxDepth = 8;
-    /** Cap on explored e-class pairs. */
-    size_t maxPairs = 50000;
-    /** Above this class count, use the sorted-hash window instead of the
-     *  quadratic pair sweep. */
-    size_t quadraticPairLimit = 3000;
-    /** Window width for the sorted-hash banding pass. */
-    size_t bandingWindow = 48;
 
     /**
      * Global budget on generated candidate patterns; exceeding it aborts
@@ -74,13 +80,6 @@ struct AuOptions {
     size_t maxPatternsPerPair = 8;
     /** Final cap on deduplicated result patterns. */
     size_t maxResultPatterns = 4096;
-
-    /** kd-tree sampling: split dimensions and per-cell samples. */
-    int kdDims = 2;
-    int kdBeta = 2;
-
-    /** Candidate filter: minimum operation count of a useful pattern. */
-    size_t minOps = 2;
 };
 
 /** Statistics from one AU sweep (feeds Table 2). */
@@ -108,14 +107,15 @@ struct AuResult {
  * When @p budget is given, the sweep charges one unit per raw candidate
  * against it and stops at its deadline.  Over-budget or faulted pairs
  * are skipped and recorded in AuStats::skippedPairs; the sweep never
- * throws for per-pair failures.
+ * throws for per-pair failures.  A budget already spent when the pairs
+ * are selected skips every pair before any shard starts.
  */
 AuResult identifyPatterns(const EGraph& egraph, const AuOptions& options,
                           Budget* budget = nullptr);
 
 /**
  * The admissible e-class pair list the sweep will explore, in sweep
- * order (quadratic below AuOptions::quadraticPairLimit classes, the
+ * order (quadratic below kQuadraticPairLimit classes, the
  * sorted-hash banding window above it).  Deterministic for a given
  * e-graph and options.  When @p stats is given, pairsConsidered is
  * recorded there.  Exposed for the pair-selection regression tests and

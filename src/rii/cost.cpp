@@ -11,10 +11,9 @@ namespace rii {
 
 CostModel::CostModel(const frontend::EncodedProgram& prog,
                      const profile::ModuleProfile& profile,
-                     const PatternRegistry& registry,
-                     double invokeOverheadNs)
+                     const PatternRegistry& registry)
     : prog_(&prog), profile_(&profile), registry_(&registry),
-      invokeOverheadNs_(invokeOverheadNs), totalNs_(profile.totalNs())
+      totalNs_(profile.totalNs())
 {}
 
 double
@@ -100,7 +99,7 @@ CostModel::evaluate(int64_t id, const EGraph& egraph,
 
     // Every original-program site living in a matched class is a use.
     const double hwNs =
-        eval.hw.latencyNs + invokeOverheadNs_ + operandNs;
+        eval.hw.latencyNs + kInvokeOverheadNs + operandNs;
     for (const frontend::Site& site : prog_->sites) {
         EClassId canon = egraph.find(site.klass);
         if (!std::binary_search(matched.begin(), matched.end(), canon)) {

@@ -204,8 +204,8 @@ runRii(const frontend::EncodedProgram& program,
         // phase loop instead of killing the run.
         try {
             TELEM_SPAN("rii.vectorize", "rii");
-            VectorizeResult vr = vectorizeProgram(
-                program, rules.vector(), config.vectorize);
+            VectorizeResult vr =
+                vectorizeProgram(program, rules.vector());
             vectorized = std::move(vr.program);
             stats.packsCreated = vr.packsCreated;
             bases.push_back(&vectorized);
@@ -225,8 +225,7 @@ runRii(const frontend::EncodedProgram& program,
     const auto non_sat = rules.nonSat();
 
     for (const frontend::EncodedProgram* base : bases) {
-        CostModel cost(*base, profile, result.registry,
-                       config.invokeOverheadNs);
+        CostModel cost(*base, profile, result.registry);
         std::string last_signature;
         const int total_phases = 2 + config.maxPhases;
         for (int phase = 0; phase < total_phases; ++phase) {
@@ -262,7 +261,7 @@ runRii(const frontend::EncodedProgram& program,
                 phase_rules = float_sat;
             } else if (!non_sat.empty()) {
                 // Rotating slice of non-saturating rules, applied twice.
-                const size_t n = config.rulesPerPhase;
+                const size_t n = kRulesPerPhase;
                 const size_t start =
                     (static_cast<size_t>(phase - 2) * n) % non_sat.size();
                 for (size_t k = 0; k < n && k < non_sat.size(); ++k) {
@@ -345,7 +344,7 @@ runRii(const frontend::EncodedProgram& program,
                           [](const PatternEval& a, const PatternEval& b) {
                               return a.deltaNs > b.deltaNs;
                           });
-                while (costed.size() > config.maxCostedCandidates) {
+                while (costed.size() > kMaxCostedCandidates) {
                     costed.pop_back();
                 }
                 while (!costed.empty() && costed.back().deltaNs <= 0 &&
@@ -357,7 +356,8 @@ runRii(const frontend::EncodedProgram& program,
                     have.insert(pe.id);
                 }
                 for (int64_t id : pre_patterns) {
-                    if (have.count(id) == 0 && costed.size() < 64) {
+                    if (have.count(id) == 0 &&
+                        costed.size() < kMaxSelectCandidates) {
                         costed.push_back(cost.evaluate(id, work.egraph));
                     }
                 }

@@ -56,20 +56,27 @@ const char* modeName(Mode mode);
  */
 std::optional<Mode> parseMode(std::string_view text);
 
-/** Configuration for one RII run. */
+/** Non-saturating rules applied per later phase. */
+inline constexpr size_t kRulesPerPhase = 8;
+/** Costed candidates a phase keeps for selection. */
+inline constexpr size_t kMaxCostedCandidates = 48;
+static_assert(kMaxCostedCandidates <= kMaxSelectCandidates);
+
+/**
+ * Configuration for one RII run: only the values that a mode or a caller
+ * sets.  The fixed values are named constants in the modules that use
+ * them, and configFingerprint (corpus/corpus.hpp) hashes those too.
+ */
 struct RiiConfig {
     Mode mode = Mode::Default;
 
     /** Maximum number of phases after the two saturating ones. */
     int maxPhases = 6;
-    /** Non-saturating rules applied per later phase. */
-    size_t rulesPerPhase = 8;
 
     EqSatLimits eqsat{/*maxNodes=*/20000, /*maxIterations=*/8,
-                      /*maxSeconds=*/10.0, /*maxMatchesPerRule=*/1024};
-    AuOptions au;
+                      /*maxMatchesPerRule=*/1024};
+    AuOptions au{.maxResultPatterns = 300};
     SelectOptions select;
-    VectorizeOptions vectorize;
 
     /**
      * Optional whole-run budget; nullptr (the default, and every CLI
@@ -81,16 +88,6 @@ struct RiiConfig {
      * never aborts.  Must outlive the runRii call.
      */
     Budget* parentBudget = nullptr;
-
-    /** Per-invocation custom-instruction overhead (RoCC issue+writeback). */
-    double invokeOverheadNs = 0.5;
-    /** Candidates kept for selection (<= 64). */
-    size_t maxCostedCandidates = 48;
-
-    RiiConfig()
-    {
-        au.maxResultPatterns = 300;
-    }
 
     /** Derive the per-mode configuration from a base config. */
     static RiiConfig forMode(Mode mode);

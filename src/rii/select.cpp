@@ -15,6 +15,8 @@ namespace rii {
 namespace {
 
 using Mask = uint64_t;
+static_assert(kMaxSelectCandidates == 8 * sizeof(Mask),
+              "one mask bit per candidate");
 
 /** Pattern id of an App e-node (via its PatRef child), or -1. */
 int64_t
@@ -152,7 +154,7 @@ selectAndRefine(const EGraph& egraph, EClassId root,
                 const CostModel& cost, const SelectOptions& options,
                 Budget* parent, SelectOutcome* outcome)
 {
-    ISAMORE_USER_CHECK(candidates.size() <= 64,
+    ISAMORE_USER_CHECK(candidates.size() <= kMaxSelectCandidates,
                        "selection supports at most 64 candidates");
     root = egraph.find(root);
 
@@ -184,14 +186,14 @@ selectAndRefine(const EGraph& egraph, EClassId root,
     std::vector<Mask> nodeFront;
     std::vector<Mask> merged;
     std::vector<Mask> pruned;
-    for (int round = 0; round < options.maxRounds; ++round) {
+    for (size_t round = 0; round < kMaxSelectRounds; ++round) {
         // The fronts computed so far stay internally consistent when the
         // fixpoint is cut short; stopping here only loses solutions.
         if (fault::tripped("select.round") || !budget.ok()) {
             out.truncated = true;
             break;
         }
-        out.roundsRun = static_cast<size_t>(round) + 1;
+        out.roundsRun = round + 1;
         bool changed = false;
         for (EClassId id : ids) {
             merged.clear();
@@ -271,7 +273,7 @@ selectAndRefine(const EGraph& egraph, EClassId root,
                 }
                 const auto& cand =
                     candidates[static_cast<size_t>(bit->second)];
-                return cand.hw.latencyNs + cost.invokeOverheadNs() +
+                return cand.hw.latencyNs + kInvokeOverheadNs +
                        children;
             }
             if (options.astSizeObjective) {

@@ -37,10 +37,14 @@ struct Solution {
     std::vector<size_t> useCounts;
 };
 
+/** Most costed candidates one selection takes: the width of its masks. */
+inline constexpr size_t kMaxSelectCandidates = 64;
+/** Fixpoint bound on the selection rounds over cyclic graphs. */
+inline constexpr size_t kMaxSelectRounds = 64;
+
 /** Selection options. */
 struct SelectOptions {
     size_t beamK = 8;        ///< per-class front width
-    int maxRounds = 64;      ///< fixpoint bound for cyclic graphs
     bool astSizeObjective = false;  ///< AstSize mode: minimize term size
 };
 
@@ -59,7 +63,8 @@ struct SelectOutcome {
  * just possibly missing solutions -- and @p outcome (when non-null)
  * records the truncation.
  *
- * @param candidates costed candidates (at most 64; callers pre-rank)
+ * @param candidates costed candidates (at most kMaxSelectCandidates;
+ *        callers pre-rank)
  * @return non-dominated refined solutions, sorted by increasing area
  */
 std::vector<Solution> selectAndRefine(const EGraph& egraph, EClassId root,

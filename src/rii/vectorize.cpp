@@ -104,8 +104,7 @@ materializeWithClasses(const EGraph& egraph, const Extractor& extractor,
 
 VectorizeResult
 vectorizeProgram(const frontend::EncodedProgram& prog,
-                 const std::vector<RewriteRule>& liftRules,
-                 const VectorizeOptions& options)
+                 const std::vector<RewriteRule>& liftRules)
 {
     VectorizeResult result;
     // Work on a copy: packing mutates the graph.
@@ -113,14 +112,14 @@ vectorizeProgram(const frontend::EncodedProgram& prog,
     EGraph& g = work.egraph;
 
     // ---- Step 1: seed packing ----
-    AuResult seeds = identifyPatterns(g, options.seedAu);
+    AuResult seeds = identifyPatterns(g, kSeedAu);
     auto siteIndex = work.sitesByClass();
 
     // Group matched classes by (pattern, function, block).
     size_t packs = 0;
     std::unordered_set<EClassId> packed;
     for (const TermPtr& pattern : seeds.patterns) {
-        if (packs >= options.maxPacks) {
+        if (packs >= kMaxPacks) {
             break;
         }
         auto matches = ematchAll(g, pattern, 512);
@@ -146,16 +145,12 @@ vectorizeProgram(const frontend::EncodedProgram& prog,
                     fresh.push_back(c);
                 }
             }
-            // Cut packs of `lanes`, falling back to 2 for a remainder
+            // Cut packs of kPackLanes, falling back to 2 for a remainder
             // pair.
             size_t i = 0;
-            while (fresh.size() - i >=
-                       static_cast<size_t>(options.lanes) ||
-                   fresh.size() - i >= 2) {
+            while (fresh.size() - i >= 2) {
                 const size_t width =
-                    fresh.size() - i >= static_cast<size_t>(options.lanes)
-                        ? static_cast<size_t>(options.lanes)
-                        : 2;
+                    fresh.size() - i >= kPackLanes ? kPackLanes : 2;
                 std::vector<EClassId> lanes(fresh.begin() + i,
                                             fresh.begin() + i + width);
                 i += width;
@@ -174,11 +169,11 @@ vectorizeProgram(const frontend::EncodedProgram& prog,
                     packed.insert(c);
                 }
                 ++packs;
-                if (packs >= options.maxPacks) {
+                if (packs >= kMaxPacks) {
                     break;
                 }
             }
-            if (packs >= options.maxPacks) {
+            if (packs >= kMaxPacks) {
                 break;
             }
         }
@@ -187,7 +182,7 @@ vectorizeProgram(const frontend::EncodedProgram& prog,
     result.packsCreated = packs;
 
     // ---- Step 2: pack expansion (lift rewrites) ----
-    runEqSat(g, liftRules, options.liftLimits);
+    runEqSat(g, liftRules, kLiftLimits);
 
     // ---- Step 3: acyclic pruning ----
     // Greedy extraction favoring vector constructors of high DLP.

@@ -26,21 +26,15 @@
 namespace isamore {
 namespace rii {
 
-/** Options for one vectorization pass. */
-struct VectorizeOptions {
-    int lanes = 4;            ///< preferred pack width (falls back to 2)
-    size_t maxPacks = 64;     ///< seed-pack budget
-    AuOptions seedAu;         ///< AU configuration for seed finding
-    EqSatLimits liftLimits;   ///< pack-expansion EqSat limits
-
-    VectorizeOptions()
-    {
-        seedAu.maxResultPatterns = 64;
-        seedAu.maxDepth = 4;
-        liftLimits.maxIterations = 4;
-        liftLimits.maxNodes = 60000;
-    }
-};
+/** Preferred pack width (a remainder pair packs 2 wide). */
+inline constexpr size_t kPackLanes = 4;
+/** Seed-pack budget. */
+inline constexpr size_t kMaxPacks = 64;
+/** AU configuration for seed finding. */
+inline constexpr AuOptions kSeedAu{.maxDepth = 4, .maxResultPatterns = 64};
+/** Pack-expansion EqSat limits. */
+inline constexpr EqSatLimits kLiftLimits{.maxNodes = 60000,
+                                         .maxIterations = 4};
 
 /** Result of vectorization. */
 struct VectorizeResult {
@@ -51,8 +45,7 @@ struct VectorizeResult {
 
 /** Run the vectorization pipeline. */
 VectorizeResult vectorizeProgram(const frontend::EncodedProgram& prog,
-                                 const std::vector<RewriteRule>& liftRules,
-                                 const VectorizeOptions& options);
+                                 const std::vector<RewriteRule>& liftRules);
 
 }  // namespace rii
 }  // namespace isamore

@@ -66,7 +66,7 @@ TEST(RoccTest, ModelsTransferBandwidth)
     ASSERT_FALSE(result.best().patternIds.empty());
 
     rii::CostModel cost(result.baseProgram, analyzed.profile,
-                        result.registry, 0.5);
+                        result.registry);
     auto [sol, report] =
         modelBestOnFront(cost, result.front, result.registry,
                          result.evaluations);
@@ -83,7 +83,7 @@ TEST(RoccTest, TransferCostReducesSpeedupVsIdealModel)
     auto analyzed = analyzeWorkload(workloads::makeBitLinear());
     auto result = identifyInstructions(analyzed, rii::Mode::Default);
     rii::CostModel cost(result.baseProgram, analyzed.profile,
-                        result.registry, 0.5);
+                        result.registry);
     auto [sol, report] =
         modelBestOnFront(cost, result.front, result.registry,
                          result.evaluations);

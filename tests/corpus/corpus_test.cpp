@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -187,6 +188,49 @@ TEST(Corpus, ResultsRoundTripPreservesDagSharing)
     std::remove(path.c_str());
 }
 
+TEST(Corpus, ConfigFingerprintSeparatesModesAndSettableFields)
+{
+    std::set<uint64_t> modeKeys;
+    for (const rii::Mode mode : rii::kAllModes) {
+        modeKeys.insert(configFingerprint(rii::RiiConfig::forMode(mode)));
+    }
+    EXPECT_EQ(modeKeys.size(), std::size(rii::kAllModes));
+
+    // Every field a mode or a caller can set must move the key.
+    using Edit = void (*)(rii::RiiConfig&);
+    const std::pair<const char*, Edit> edits[] = {
+        {"mode", [](rii::RiiConfig& c) { c.mode = rii::Mode::LLMT; }},
+        {"maxPhases", [](rii::RiiConfig& c) { ++c.maxPhases; }},
+        {"eqsat.maxNodes", [](rii::RiiConfig& c) { ++c.eqsat.maxNodes; }},
+        {"eqsat.maxIterations",
+         [](rii::RiiConfig& c) { ++c.eqsat.maxIterations; }},
+        {"eqsat.maxMatchesPerRule",
+         [](rii::RiiConfig& c) { ++c.eqsat.maxMatchesPerRule; }},
+        {"au.sampling",
+         [](rii::RiiConfig& c) { c.au.sampling = rii::Sampling::KdTree; }},
+        {"au.typeFilter", [](rii::RiiConfig& c) { c.au.typeFilter = false; }},
+        {"au.hashFilter", [](rii::RiiConfig& c) { c.au.hashFilter = false; }},
+        {"au.hammingThreshold",
+         [](rii::RiiConfig& c) { ++c.au.hammingThreshold; }},
+        {"au.maxDepth", [](rii::RiiConfig& c) { ++c.au.maxDepth; }},
+        {"au.maxCandidates", [](rii::RiiConfig& c) { ++c.au.maxCandidates; }},
+        {"au.maxPatternsPerPair",
+         [](rii::RiiConfig& c) { ++c.au.maxPatternsPerPair; }},
+        {"au.maxResultPatterns",
+         [](rii::RiiConfig& c) { ++c.au.maxResultPatterns; }},
+        {"select.beamK", [](rii::RiiConfig& c) { ++c.select.beamK; }},
+        {"select.astSizeObjective",
+         [](rii::RiiConfig& c) { c.select.astSizeObjective = true; }},
+    };
+    const rii::RiiConfig base = rii::RiiConfig::forMode(rii::Mode::Default);
+    const uint64_t baseKey = configFingerprint(base);
+    for (const auto& [field, edit] : edits) {
+        rii::RiiConfig changed = base;
+        edit(changed);
+        EXPECT_NE(configFingerprint(changed), baseKey) << field;
+    }
+}
+
 TEST(Corpus, CorruptFileRefusedWithoutPartialState)
 {
     const rules::RulesetLibrary rules = rules::defaultLibrary();
@@ -226,6 +270,7 @@ TEST(Corpus, CorruptFileRefusedWithoutPartialState)
         {stale(3), "format version 3 unsupported"},
         {stale(4), "format version 4 unsupported"},
         {stale(5), "format version 5 unsupported"},
+        {stale(6), "format version 6 unsupported"},
         {retired(2), "unknown section tag 2"},
         {retired(3), "unknown section tag 3"},
     };

@@ -182,13 +182,11 @@ pinSweepDigest()
         EqSatLimits limits;
         limits.maxIterations = 4;
         limits.maxNodes = 4000;
-        limits.maxSeconds = 1e9;  // no wall-clock dependence in a pin
         runInto(digest, foldSurvivingState, g, limits);
     }
     for (uint64_t seed = 0; seed < 32; ++seed) {
         EqSatLimits limits;
         limits.maxIterations = 5;
-        limits.maxSeconds = 1e9;
         limits.maxMatchesPerRule = 8;
         Rng rng(seed);
         EGraph g;

@@ -72,7 +72,6 @@ TEST_P(EqSatSoundness, SaturateAndExtractPreservesSemantics)
     EqSatLimits limits;
     limits.maxNodes = 4000;
     limits.maxIterations = 5;
-    limits.maxSeconds = 3.0;
     runEqSat(g, rules, limits);
 
     Extractor extractor(g, astSizeCost);

@@ -70,7 +70,6 @@ runCase(uint64_t seed, size_t threads)
     EqSatLimits limits;
     limits.maxIterations = 4;
     limits.maxNodes = 4000;
-    limits.maxSeconds = 1e9;  // no wall-clock dependence in a differential
     const EqSatStats stats = runEqSat(g, differentialRules(), limits);
     RunResult out;
     out.dump = dumpText(g);
@@ -118,7 +117,6 @@ TEST(RewriteParallelTest, MatchCapBandMatchesSerial)
     for (uint64_t seed = 0; seed < 32; ++seed) {
         EqSatLimits limits;
         limits.maxIterations = 5;
-        limits.maxSeconds = 1e9;
         limits.maxMatchesPerRule = 8;
         auto run = [&](size_t threads) {
             setGlobalThreads(threads);

@@ -132,10 +132,9 @@ TEST(RewriteTest, SaturatingRulesPreserveClassCount)
 
 TEST(RewriteTest, TimeLimitNotMaskedBySaturation)
 {
-    // Regression: an expired deadline cuts the search loop short, leaving
-    // later rules unsearched.  The resulting quiet iteration must report
-    // TimeLimit, never Saturated -- rules that were never searched might
-    // still have fired.
+    // Regression: an expired deadline stops the run with rules left
+    // unsearched.  It must report TimeLimit, never Saturated -- rules
+    // that were never searched might still have fired.
     EGraph g;
     g.addTerm(parseTerm("(* (+ $0.0 $0.1) 2)"));
     std::vector<RewriteRule> rules = {
@@ -143,10 +142,37 @@ TEST(RewriteTest, TimeLimitNotMaskedBySaturation)
         makeRule("distribute", "(* (+ ?0 ?1) ?2)",
                  "(+ (* ?0 ?2) (* ?1 ?2))", kRuleInt),
     };
-    EqSatLimits limits;
-    limits.maxSeconds = 0.0;
-    auto stats = runEqSat(g, rules, limits);
+    BudgetSpec spec;
+    spec.maxSeconds = 0.0;
+    Budget parent(spec);
+    auto stats = runEqSat(g, rules, EqSatLimits{}, &parent);
     EXPECT_EQ(stats.stopReason, StopReason::TimeLimit);
+}
+
+TEST(RewriteTest, SpentBudgetSearchesNothing)
+{
+    // The budget is polled before the first search: an expired parent
+    // deadline finds no match and applies nothing.
+    EGraph g;
+    const EClassId a = g.addTerm(parseTerm("(* $0.0 2)"));
+    const EClassId b = g.addTerm(parseTerm("(<< $0.0 1)"));
+    std::vector<RewriteRule> rules = {
+        makeRule("mul2-shift", "(* ?0 2)", "(<< ?0 1)", kRuleInt),
+        makeRule("mul-comm", "(* ?0 ?1)", "(* ?1 ?0)", kRuleSat | kRuleInt),
+    };
+    BudgetSpec spec;
+    spec.maxSeconds = 0.0;
+    Budget parent(spec);
+    const EqSatStats stats = runEqSat(g, rules, EqSatLimits{}, &parent);
+    EXPECT_EQ(stats.stopReason, StopReason::TimeLimit);
+    EXPECT_EQ(stats.iterations, 0u);
+    EXPECT_EQ(stats.applications, 0u);
+    ASSERT_EQ(stats.perRule.size(), rules.size());
+    for (const auto& [name, totals] : stats.perRule) {
+        EXPECT_EQ(totals.matches, 0u) << name;
+        EXPECT_EQ(totals.applications, 0u) << name;
+    }
+    EXPECT_NE(g.find(a), g.find(b));
 }
 
 TEST(RewriteTest, ParentBudgetUnitsStopApplications)

@@ -82,8 +82,8 @@ TEST_P(AuCanonicalInvariant, PatternsCanonicalAndWellFormed)
         // Canonical hole numbering.
         EXPECT_TRUE(termEquals(p, canonicalizeHoles(p)))
             << termToString(p);
-        // At least minOps real operations and at least one hole.
-        EXPECT_GE(termOpCount(p), opt.minOps);
+        // At least kMinOps real operations and at least one hole.
+        EXPECT_GE(termOpCount(p), kMinOps);
         EXPECT_FALSE(termHoles(p).empty());
         // Never rooted at an aggregation List.
         EXPECT_NE(p->op, Op::List);

@@ -87,7 +87,6 @@ TEST(AuTest, MinOpsFilters)
     g.addTerm(parseTerm("(+ $0.0 1)"));
     g.addTerm(parseTerm("(+ $0.1 2)"));
     AuOptions opt;
-    opt.minOps = 2;
     auto result = identifyPatterns(g, opt);
     for (const TermPtr& p : result.patterns) {
         EXPECT_GE(termOpCount(p), 2u);

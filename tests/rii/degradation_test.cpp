@@ -9,6 +9,7 @@
 #include "isamore/isamore.hpp"
 #include "rii/rii.hpp"
 #include "support/fault.hpp"
+#include "support/telemetry.hpp"
 
 namespace isamore {
 namespace rii {
@@ -108,14 +109,29 @@ expiredBudget()
 
 TEST_F(DegradationTest, SweepDeadlineSetsTimedOut)
 {
-    // The whole sweep is out of time: every pair is skipped.
+    // The whole sweep is out of time: every selected pair is skipped,
+    // before the reps are extracted or any shard runs.
+    const EGraph& egraph = matmulAnalyzed().program.egraph;
+    const AuOptions options = RiiConfig::forMode(Mode::Default).au;
+    const size_t selected = selectAuPairs(egraph, options).size();
+    ASSERT_GT(selected, 0u);
     Budget parent = expiredBudget();
-    const AuResult result = identifyPatterns(
-        matmulAnalyzed().program.egraph,
-        RiiConfig::forMode(Mode::Default).au, &parent);
+    telemetry::Tracer::instance().clear();
+    telemetry::setEnabled(true);
+    const AuResult result = identifyPatterns(egraph, options, &parent);
+    telemetry::setEnabled(false);
+    const std::string trace = telemetry::Tracer::instance().toChromeJson();
+    telemetry::Tracer::instance().clear();
+    telemetry::Registry::instance().reset();
     EXPECT_TRUE(result.stats.timedOut);
-    EXPECT_GT(result.stats.skippedPairs, 0u);
+    EXPECT_EQ(result.stats.pairsExplored, 0u);
+    EXPECT_EQ(result.stats.skippedPairs, selected);
     EXPECT_TRUE(result.patterns.empty());
+    if (telemetry::kCompiled) {
+        EXPECT_NE(trace.find("\"au.sweep\""), std::string::npos);
+        EXPECT_EQ(trace.find("\"au.reprs\""), std::string::npos);
+        EXPECT_EQ(trace.find("\"au.chunk\""), std::string::npos);
+    }
 }
 
 TEST_F(DegradationTest, WholeRunBudgetSkipsPhases)

@@ -1,14 +1,17 @@
 /**
  * Regression tests for AU pair selection (selectAuPairs): the sweep
- * order must be deterministic, and exact-duplicate structural-hash
- * buckets must stay fully paired on both sides of the
- * quadraticPairLimit switch from the quadratic sweep to banding.
+ * order must be deterministic, exact-duplicate structural-hash buckets
+ * must stay fully paired on both sides of the kQuadraticPairLimit switch
+ * from the quadratic sweep to banding, and the kMaxPairs cap must keep a
+ * prefix of the sweep order.  The graphs are sized to cross the
+ * production constants.
  */
 #include "rii/au.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <utility>
 #include <vector>
@@ -47,6 +50,20 @@ buildDuplicateRoots(EGraph& g, int n)
     return roots;
 }
 
+/**
+ * Add leaf classes until @p g has more than kQuadraticPairLimit classes,
+ * so selection takes the banding path.  Leaves are never admissible and
+ * all share one structural hash, so they add no pairs and form one
+ * bucket of their own.
+ */
+void
+padPastQuadraticLimit(EGraph& g)
+{
+    for (int64_t k = 1000; g.numClasses() <= kQuadraticPairLimit; ++k) {
+        g.addTerm(arg(1, k));
+    }
+}
+
 TEST(PairSelectionTest, RepeatedCallsReturnIdenticalLists)
 {
     EGraph g;
@@ -64,7 +81,8 @@ TEST(PairSelectionTest, RepeatedCallsReturnIdenticalLists)
     EXPECT_FALSE(a.empty());
 
     // The banding path must be just as repeatable.
-    opt.quadraticPairLimit = 1;
+    padPastQuadraticLimit(g);
+    ASSERT_GT(g.classIds().size(), kQuadraticPairLimit);
     const auto c = selectAuPairs(g, opt);
     const auto d = selectAuPairs(g, opt);
     EXPECT_EQ(c, d);
@@ -86,22 +104,20 @@ TEST(PairSelectionTest, DuplicateBucketFullyPairedOnBothSelectionPaths)
 
     // Quadratic side of the boundary: the class count is far below the
     // limit, so every admissible pair is enumerated directly.
-    AuOptions quadratic;
-    ASSERT_LE(g.classIds().size(), quadratic.quadraticPairLimit);
-    const auto quadPairs = unorderedPairs(selectAuPairs(g, quadratic));
+    ASSERT_LE(g.classIds().size(), kQuadraticPairLimit);
+    const auto quadPairs = unorderedPairs(selectAuPairs(g, AuOptions{}));
     for (const auto& p : wanted) {
         EXPECT_TRUE(quadPairs.count(p))
             << "quadratic sweep lost duplicate pair (" << p.first << ", "
             << p.second << ")";
     }
 
-    // Banding side: force the sorted-hash window path.  The eight roots
-    // hash identically, so they form one contiguous bucket that the
-    // window (default 48) must pair exhaustively.
-    AuOptions banding;
-    banding.quadraticPairLimit = 1;
-    ASSERT_GT(g.classIds().size(), banding.quadraticPairLimit);
-    const auto bandPairs = unorderedPairs(selectAuPairs(g, banding));
+    // Banding side: leaves push the class count past the limit.  The
+    // eight roots hash identically, so they form one contiguous bucket
+    // that the kBandingWindow-wide window must pair exhaustively.
+    padPastQuadraticLimit(g);
+    ASSERT_GT(g.classIds().size(), kQuadraticPairLimit);
+    const auto bandPairs = unorderedPairs(selectAuPairs(g, AuOptions{}));
     for (const auto& p : wanted) {
         EXPECT_TRUE(bandPairs.count(p))
             << "banding sweep lost duplicate pair (" << p.first << ", "
@@ -111,21 +127,52 @@ TEST(PairSelectionTest, DuplicateBucketFullyPairedOnBothSelectionPaths)
 
 TEST(PairSelectionTest, MaxPairsTruncatesPrefixDeterministically)
 {
+    // 400 duplicate roots stay below the quadratic limit, and their
+    // bucket alone holds more than kMaxPairs admissible pairs.
     EGraph g;
-    buildDuplicateRoots(g, 8);
+    const std::vector<EClassId> roots = buildDuplicateRoots(g, 400);
+    ASSERT_LE(g.classIds().size(), kQuadraticPairLimit);
+    ASSERT_GT(roots.size() * (roots.size() - 1) / 2, kMaxPairs);
 
-    AuOptions opt;
-    const auto full = selectAuPairs(g, opt);
-    ASSERT_GT(full.size(), 4u);
+    const auto pairs = selectAuPairs(g, AuOptions{});
+    ASSERT_EQ(pairs.size(), kMaxPairs);
+    EXPECT_EQ(pairs, selectAuPairs(g, AuOptions{}));
 
-    opt.maxPairs = 4;
-    const auto truncated = selectAuPairs(g, opt);
-    ASSERT_EQ(truncated.size(), 4u);
-    // Truncation keeps the leading pairs of the full sweep order; it
-    // never reorders or samples.
-    for (size_t i = 0; i < truncated.size(); ++i) {
-        EXPECT_EQ(truncated[i], full[i]) << "index " << i;
+    // Truncation keeps the leading pairs of the sweep order (class-list
+    // position of the first class, then of the second); it never
+    // reorders or samples.  So the list rises strictly in that order, and
+    // every root pair up to its last entry is present.
+    std::map<EClassId, size_t> position;
+    for (EClassId id : g.classIds()) {
+        position.emplace(id, position.size());
     }
+    auto sweepKey = [&](EClassId a, EClassId b) {
+        return std::minmax(position.at(a), position.at(b));
+    };
+    for (size_t i = 1; i < pairs.size(); ++i) {
+        EXPECT_LT(sweepKey(pairs[i - 1].first, pairs[i - 1].second),
+                  sweepKey(pairs[i].first, pairs[i].second))
+            << "index " << i;
+    }
+    const auto last = sweepKey(pairs.back().first, pairs.back().second);
+    std::set<std::pair<size_t, size_t>> kept;
+    for (auto [a, b] : pairs) {
+        kept.insert(sweepKey(a, b));
+    }
+    size_t rootPairsKept = 0;
+    for (size_t i = 0; i < roots.size(); ++i) {
+        for (size_t j = i + 1; j < roots.size(); ++j) {
+            const auto key = sweepKey(roots[i], roots[j]);
+            if (key <= last) {
+                ++rootPairsKept;
+                EXPECT_TRUE(kept.count(key))
+                    << "root pair at " << key.first << ", " << key.second
+                    << " lies before the cut but is missing";
+            }
+        }
+    }
+    EXPECT_GT(rootPairsKept, 0u);
+    EXPECT_LT(rootPairsKept, roots.size() * (roots.size() - 1) / 2);
 }
 
 TEST(PairSelectionTest, SweepConsumesSelectedPairsInOrder)

@@ -87,7 +87,7 @@ TEST(CostModelTest, UsesAndDeltaFromProfile)
     auto analyzed = analyzeWorkload(std::move(wl));
 
     PatternRegistry reg;
-    CostModel cost(analyzed.program, analyzed.profile, reg, 0.5);
+    CostModel cost(analyzed.program, analyzed.profile, reg);
     EXPECT_GT(cost.totalNs(), 0.0);
 
     int64_t id = reg.add(parseTerm(
@@ -108,7 +108,7 @@ TEST(CostModelTest, ColdPatternSavesNothing)
     workloads::Workload wl = workloads::makeMatMul();
     auto analyzed = analyzeWorkload(std::move(wl));
     PatternRegistry reg;
-    CostModel cost(analyzed.program, analyzed.profile, reg, 0.5);
+    CostModel cost(analyzed.program, analyzed.profile, reg);
     // A pattern that matches nothing in the program.
     int64_t id = reg.add(parseTerm("(fsqrt (f/ ?0 ?1))"));
     PatternEval eval = cost.evaluate(id, analyzed.program.egraph);
@@ -121,7 +121,7 @@ TEST(CostModelTest, SpeedupFormula)
     workloads::Workload wl = workloads::makeMatMul();
     auto analyzed = analyzeWorkload(std::move(wl));
     PatternRegistry reg;
-    CostModel cost(analyzed.program, analyzed.profile, reg, 0.5);
+    CostModel cost(analyzed.program, analyzed.profile, reg);
     double total = cost.totalNs();
     EXPECT_DOUBLE_EQ(cost.speedup(0.0), 1.0);
     EXPECT_NEAR(cost.speedup(total / 2), 2.0, 1e-9);

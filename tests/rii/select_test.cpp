@@ -22,8 +22,7 @@ struct Fixture {
           work(analyzed.program)
     {
         cost = std::make_unique<CostModel>(analyzed.program,
-                                           analyzed.profile, registry,
-                                           0.5);
+                                           analyzed.profile, registry);
         auto au = identifyPatterns(work.egraph, AuOptions{});
         for (const TermPtr& p : au.patterns) {
             int64_t id = registry.add(p);

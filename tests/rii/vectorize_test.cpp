@@ -31,8 +31,7 @@ TEST(VectorizeTest, PacksUnrolledMatMul)
 {
     auto analyzed = analyzeWorkload(workloads::makeMatMul());
     auto lifts = rules::defaultLibrary().vector();
-    VectorizeOptions opt;
-    auto result = vectorizeProgram(analyzed.program, lifts, opt);
+    auto result = vectorizeProgram(analyzed.program, lifts);
     EXPECT_GT(result.packsCreated, 0u);
     EXPECT_GT(result.vecOpsInResult, 0u);
     EXPECT_GT(countVecOps(result.program), 0u);
@@ -42,8 +41,7 @@ TEST(VectorizeTest, ResultIsAcyclicAndExtractable)
 {
     auto analyzed = analyzeWorkload(workloads::makeMatMul());
     auto lifts = rules::defaultLibrary().vector();
-    auto result = vectorizeProgram(analyzed.program, lifts,
-                                   VectorizeOptions{});
+    auto result = vectorizeProgram(analyzed.program, lifts);
     // The compressed program must still extract (acyclic pruning).
     Extractor ex(result.program.egraph, astSizeCost);
     EXPECT_TRUE(ex.costOf(result.program.root).has_value());
@@ -53,8 +51,7 @@ TEST(VectorizeTest, SitesSurviveCompression)
 {
     auto analyzed = analyzeWorkload(workloads::makeMatMul());
     auto lifts = rules::defaultLibrary().vector();
-    auto result = vectorizeProgram(analyzed.program, lifts,
-                                   VectorizeOptions{});
+    auto result = vectorizeProgram(analyzed.program, lifts);
     EXPECT_FALSE(result.program.sites.empty());
     // VecOp classes inherited lane sites.
     auto grouped = result.program.sitesByClass();
@@ -73,8 +70,7 @@ TEST(VectorizeTest, HybridProgramStillWellTyped)
 {
     auto analyzed = analyzeWorkload(workloads::makeMatMul());
     auto lifts = rules::defaultLibrary().vector();
-    auto result = vectorizeProgram(analyzed.program, lifts,
-                                   VectorizeOptions{});
+    auto result = vectorizeProgram(analyzed.program, lifts);
     Extractor ex(result.program.egraph, astSizeCost);
     TermPtr program = ex.extract(result.program.root).term;
     EXPECT_FALSE(inferTermType(program).isBottom())
@@ -97,8 +93,7 @@ TEST(VectorizeTest, ScalarOnlyProgramPassesThrough)
     };
     auto analyzed = analyzeWorkload(std::move(wl));
     auto lifts = rules::defaultLibrary().vector();
-    auto result = vectorizeProgram(analyzed.program, lifts,
-                                   VectorizeOptions{});
+    auto result = vectorizeProgram(analyzed.program, lifts);
     EXPECT_EQ(result.packsCreated, 0u);
     Extractor ex(result.program.egraph, astSizeCost);
     EXPECT_TRUE(ex.costOf(result.program.root).has_value());

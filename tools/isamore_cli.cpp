@@ -326,7 +326,7 @@ runCommand(int argc, char** argv)
 
     if (rocc) {
         rii::CostModel cost(result.baseProgram, analyzed.profile,
-                            result.registry, 0.5);
+                            result.registry);
         auto [sol, report] = backend::modelBestOnFront(
             cost, result.front, result.registry, result.evaluations);
         (void)sol;
